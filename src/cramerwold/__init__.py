@@ -8,7 +8,6 @@ all projection directions.  Closed-form evaluators live in
 :mod:`cramerwold.training`.
 """
 
-from .backend import BACKEND, HAS_NUMBA, set_threads
 from .bench import BenchReport, run_bench
 from .data import (
     Dataset,
@@ -27,6 +26,7 @@ from .distance import (
     cw_scalar_product_radial,
     silverman_gamma,
 )
+from .kernels import BACKEND
 from .normality import MardiaStats, mardia
 from .oracle import (
     McEstimate,
@@ -59,8 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
-    "HAS_NUMBA",
-    "set_threads",
     "BenchReport",
     "run_bench",
     "Dataset",

@@ -1,25 +1,26 @@
-"""Vectorized NumPy implementations of the hot kernels.
+"""NumPy kernels: the profile function, pairwise sums and Monte Carlo values.
 
-These mirror the loop kernels in :mod:`cramerwold._loops` (same signatures,
-same constants) and serve as the fallback backend.  The per-direction
-Monte-Carlo evaluators also live here: they are written against NumPy's SIMD
-``exp`` with cache-sized chunks, which on a single core outruns scalar jitted
-loops by a wide margin.
+Each branch of the profile 1F1(1/2; D/2; -s) (see :mod:`cramerwold.phi`) is
+written once here.  Exact mode sums the all-positive Kummer transform
+``exp(-s) * 1F1((D-1)/2; D/2; s)`` as a series for s <= 40, a large-argument
+expansion for s >= max(D, 40), and 200-node Gauss-Legendre quadrature of the
+interval integral in the window between.  The pairwise sums work on
+cache-sized chunks of the squared-distance matrix; the Monte Carlo evaluators
+run NumPy's SIMD ``exp`` over contiguous (points, directions) strips.
 """
 
 import math
 
 import numpy as np
 
-from ._loops import (
-    MODE_ASYMPTOTIC,
-    MODE_BESSEL2,
-    MODE_EXACT,
-    QUAD_NODES,
-    SERIES_SWITCH,
-    _GLX,
-    _GLW,
-)
+MODE_EXACT = 0
+MODE_ASYMPTOTIC = 1
+MODE_BESSEL2 = 2
+
+SERIES_SWITCH = 40.0  # series below, expansion or quadrature above
+QUAD_NODES = 200
+
+_GLX, _GLW = np.polynomial.legendre.leggauss(QUAD_NODES)
 
 # Pairwise work per chunk for the closed-form sums.  Sized so a chunk's
 # intermediates stay cache-resident: measured on the target host this is both
@@ -36,6 +37,7 @@ _MC_STRIP_ELEMS = 1 << 16
 
 
 def _phi_series_vec(dim, s):
+    # exp(-s) * 1F1((dim-1)/2; dim/2; s), all-positive Kummer recurrence
     b = 0.5 * dim
     c = 0.5 * (dim - 1.0)
     term = np.ones_like(s)
@@ -49,8 +51,14 @@ def _phi_series_vec(dim, s):
 
 
 def _phi_expansion_vec(dim, s):
-    # Masked mirror of the scalar large-argument expansion; arithmetic
-    # order matches the scalar loop so both backends agree bitwise.
+    # Large-argument expansion of exp(-s) * 1F1((dim-1)/2; dim/2; s):
+    #   Gamma(dim/2) / Gamma((dim-1)/2) * s^(-1/2)
+    #     * sum_k (1/2)_k (3/2 - dim/2)_k / (k! * s^k),
+    # truncated per element at its smallest term.  The dropped exponentially
+    # small branch is below 1e-17 relative for every s this path serves.
+    # Guarded by s >= max(dim, 40): there the term ratio stays under ~1/4,
+    # so the sum reaches machine accuracy without intermediate growth
+    # (which for s < dim would amplify rounding).
     b = 0.5 * dim
     term = np.ones_like(s)
     total = np.ones_like(s)
@@ -68,6 +76,11 @@ def _phi_expansion_vec(dim, s):
 
 
 def _phi_quad_vec(dim, s):
+    # 200-node Gauss-Legendre quadrature of
+    #   C(dim) * integral_{-1}^{1} exp(-s x^2) (1 - x^2)^((dim-3)/2) dx
+    # after rescaling x = u / sqrt(s); the exp(-u^2) factor kills the
+    # endpoint region, so the dim = 2 endpoint singularity never matters
+    # for the s > 40 range this path serves.
     half = np.minimum(np.sqrt(s), 8.5)
     p = 0.5 * (dim - 3.0)
     u = half[:, None] * _GLX[None, :]
@@ -97,12 +110,14 @@ def _phi_bessel2_vec(s):
     out = np.empty_like(s)
     small = s <= 7.5
     if small.any():
+        # Abramowitz-Stegun 9.8.1 with t = s/7.5
         t2 = (s[small] / 7.5) ** 2
         poly = 1.0 + t2 * (3.5156229 + t2 * (3.0899424 + t2 * (1.2067492
                + t2 * (0.2659732 + t2 * (0.0360768 + t2 * 0.0045813)))))
         out[small] = np.exp(-0.5 * s[small]) * poly
     big = ~small
     if big.any():
+        # Abramowitz-Stegun 9.8.2
         u = 7.5 / s[big]
         poly = 0.39894228 + u * (0.01328592 + u * (0.00225319 + u * (-0.00157565
                + u * (0.0091628 + u * (-0.02057706 + u * (0.02635537
@@ -121,6 +136,13 @@ def phi_values(dim, s, mode):
     if mode == MODE_EXACT:
         return _phi_exact_vec(float(dim), s)
     raise ValueError(f"unknown mode code {mode!r}")
+
+
+def phi_asymptotic_derivative_values(dim, s):
+    """d/ds of the asymptotic profile: -(2/(2D-3)) (1 + 4s/(2D-3))**-1.5."""
+    r = 2.0 * dim - 3.0
+    t = 1.0 + 4.0 * s / r
+    return -(2.0 / r) / (t * np.sqrt(t))
 
 
 def _pair_d2_chunk(xc, y, nxc, ny):
@@ -159,7 +181,6 @@ def cw_normal_asym_grad(z, gamma):
     c1 = 1.0 / (2.0 * n * n * math.sqrt(math.pi))
     c_pair = c1 / (gamma * math.sqrt(gamma))
     c_norm = -c1 * (2.0 * n / math.sqrt(gamma + 0.5)) / (1.0 + 2.0 * gamma)
-    r = 2.0 * dim - 3.0
     nz = np.einsum("ij,ij->i", z, z)
     rows = max(1, min(n, _CHUNK_ELEMS // max(n, 1)))
     pair = np.empty_like(z)
@@ -167,11 +188,9 @@ def cw_normal_asym_grad(z, gamma):
         zc = z[lo:lo + rows]
         d2 = nz[lo:lo + rows, None] + nz[None, :] - 2.0 * (zc @ z.T)
         np.maximum(d2, 0.0, out=d2)
-        t = 1.0 + 4.0 * (d2 / (4.0 * gamma)) / r
-        w = -(2.0 / r) / (t * np.sqrt(t))
+        w = phi_asymptotic_derivative_values(dim, d2 / (4.0 * gamma))
         pair[lo:lo + rows] = w.sum(axis=1)[:, None] * zc - w @ z
-    tn = 1.0 + 4.0 * (nz / (2.0 + 4.0 * gamma)) / r
-    wn = -(2.0 / r) / (tn * np.sqrt(tn))
+    wn = phi_asymptotic_derivative_values(dim, nz / (2.0 + 4.0 * gamma))
     return c_pair * pair + c_norm * wn[:, None] * z
 
 
@@ -238,6 +257,10 @@ def mc_pair_values(px, py, gamma):
         for i in range(n):
             _mc_strip_add(b, a[i], q, buf, sxy)
         v = c0 * (sxx * inv_nn + syy * inv_kk - 2.0 * (sxy * inv_nk))
+        if n == k:
+            # Where both projected samples coincide the distance is exactly
+            # 0; the self and cross sums need not cancel in the last ulp.
+            v[(a == b).all(axis=0)] = 0.0
         vals[lo:lo + width] = np.maximum(v, 0.0)
     return vals
 

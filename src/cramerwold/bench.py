@@ -1,10 +1,10 @@
 """Micro-benchmark of the normal-distance + gradient workload.
 
 Runs the O(n^2) kernels behind ``cw2_sample_normal`` and its latent gradient
-for every available backend (jitted loops and the NumPy fallback) over a list
-of batch sizes, and reports the growth ratio between consecutive sizes.  A
-healthy quadratic kernel lands near 4 when the size doubles; the CLI gate
-accepts [2.5, 6] for the active backend's doubling steps.
+over a list of batch sizes, and reports the growth ratio between consecutive
+sizes.  A healthy quadratic kernel lands near 4 when the size doubles; the
+CLI gate accepts [2.5, 6] for the doubling steps.  Results are keyed by
+``kernels.BACKEND``, the name of the one kernel implementation.
 """
 
 import time
@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import BACKEND
+from . import kernels
 from .distance import silverman_gamma
-from .kernels import IMPLEMENTATIONS
 from .phi import mode_code, resolve_mode
 
 RATIO_LOW = 2.5
@@ -32,9 +31,9 @@ class BenchReport:
     ratios: dict         # backend -> {(n_small, n_big): time ratio}, consecutive sizes
 
     def active_doubling_ok(self):
-        """True when every exact-doubling step of the active backend scales
-        quadratically (ratio within [RATIO_LOW, RATIO_HIGH]); vacuously true
-        when no consecutive pair doubles."""
+        """True when every exact-doubling step scales quadratically (ratio
+        within [RATIO_LOW, RATIO_HIGH]); vacuously true when no consecutive
+        pair doubles."""
         return all(
             RATIO_LOW <= ratio <= RATIO_HIGH
             for (small, big), ratio in self.ratios[self.active_backend].items()
@@ -42,14 +41,14 @@ class BenchReport:
         )
 
 
-def _workload(impl, x, gamma, code):
+def _workload(x, gamma, code):
     scale_pair = 0.25 / gamma
     scale_norm = 1.0 / (2.0 + 4.0 * gamma)
 
     def run():
-        impl["sum_phi_cross"](x, x, scale_pair, code)
-        impl["sum_phi_norms"](x, scale_norm, code)
-        impl["cw_normal_asym_grad"](x, gamma)
+        kernels.sum_phi_cross(x, x, scale_pair, code)
+        kernels.sum_phi_norms(x, scale_norm, code)
+        kernels.cw_normal_asym_grad(x, gamma)
 
     return run
 
@@ -64,7 +63,7 @@ def _time_mean(fn, repeats, warmup):
 
 
 def run_bench(dim=64, sizes=(128, 256), repeats=20, warmup=3, seed=0, mode=None):
-    """Time every available backend; returns a BenchReport."""
+    """Time the kernels at each batch size; returns a BenchReport."""
     sizes = tuple(sizes)
     if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be a non-empty strictly increasing list")
@@ -77,23 +76,17 @@ def run_bench(dim=64, sizes=(128, 256), repeats=20, warmup=3, seed=0, mode=None)
     code = mode_code(resolve_mode(dim, mode))
     rng = np.random.default_rng(seed)
     data = {n: np.ascontiguousarray(rng.standard_normal((n, dim))) for n in sizes}
-    mean_seconds = {}
-    ratios = {}
-    for backend, impl in IMPLEMENTATIONS.items():
-        per_size = {}
-        for n in sizes:
-            fn = _workload(impl, data[n], silverman_gamma(n), code)
-            per_size[n] = _time_mean(fn, repeats, warmup)
-        mean_seconds[backend] = per_size
-        ratios[backend] = {
-            (a, b): per_size[b] / per_size[a] for a, b in zip(sizes, sizes[1:])
-        }
+    per_size = {
+        n: _time_mean(_workload(data[n], silverman_gamma(n), code), repeats, warmup)
+        for n in sizes
+    }
+    backend = kernels.BACKEND
     return BenchReport(
         dim=dim,
         sizes=sizes,
         repeats=repeats,
         warmup=warmup,
-        active_backend=BACKEND,
-        mean_seconds=mean_seconds,
-        ratios=ratios,
+        active_backend=backend,
+        mean_seconds={backend: per_size},
+        ratios={backend: {(a, b): per_size[b] / per_size[a] for a, b in zip(sizes, sizes[1:])}},
     )

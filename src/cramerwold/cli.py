@@ -7,8 +7,8 @@ Subcommands:
                    the z-score of the discrepancy exceeds 4
   normality        multivariate skewness/kurtosis summary of a sample
   train            fit an autoencoder, write checkpoint + training curves
-  bench            time the jitted and NumPy kernel backends; exits 1 when
-                   an active-backend doubling step scales outside [2.5, 6]
+  bench            time the pairwise-sum and gradient kernels; exits 1 when
+                   a batch-size doubling step scales outside [2.5, 6]
 
 Reports are ``key=value`` lines (floats via repr, so they round-trip
 bit-for-bit and equal the library call's result exactly) or a single JSON
@@ -23,7 +23,7 @@ import os
 import sys
 import time
 
-from . import backend, bench, data, oracle, training
+from . import bench, data, oracle, training
 from .distance import cw2_sample_normal, cw2_sample_sample, silverman_gamma
 from .normality import mardia
 
@@ -238,8 +238,6 @@ def _add_common(parser, gamma=False, mode=False, directions=False, seed=None):
                             help="Monte-Carlo projection count")
     if seed is not None:
         parser.add_argument("--seed", type=int, default=seed, help="RNG seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="jitted-backend thread cap")
     parser.add_argument("--json", action="store_true",
                         help="emit one JSON object instead of key=value lines")
 
@@ -285,7 +283,7 @@ def build_parser():
                    help="override the config seed")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("bench", help="time the kernel backends")
+    p = sub.add_parser("bench", help="time the pairwise kernels")
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--sizes", default="128,256",
                    help="comma-separated batch sizes (default 128,256)")
@@ -306,8 +304,6 @@ def main(argv=None):
     except SystemExit as exc:  # argparse printed the usage message already
         return int(exc.code or 0)
     try:
-        if args.threads is not None:
-            backend.set_threads(args.threads)
         return args.func(args, started)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,42 +1,17 @@
-"""Backend facade: route each hot kernel to its numba or NumPy implementation.
+"""The hot kernels behind the distances, the gradient, Mardia and the oracle.
 
-``IMPLEMENTATIONS`` exposes both variants by name so the benchmark can time
-them side by side regardless of which one is active.
+Callers look the kernels up through this module, so a caller-side wrapper
+(a tracer, say) can replace one name here.
 """
 
-from . import _loops, _vectorized
-from .backend import BACKEND
+from ._vectorized import (
+    cw_normal_asym_grad,
+    mardia_sums,
+    mc_normal_values,
+    mc_pair_values,
+    sum_phi_cross,
+    sum_phi_norms,
+)
 
-if BACKEND == "numba":
-    sum_phi_cross = _loops.sum_phi_cross
-    sum_phi_norms = _loops.sum_phi_norms
-    cw_normal_asym_grad = _loops.cw_normal_asym_grad
-    mardia_sums = _loops.mardia_sums
-else:
-    sum_phi_cross = _vectorized.sum_phi_cross
-    sum_phi_norms = _vectorized.sum_phi_norms
-    cw_normal_asym_grad = _vectorized.cw_normal_asym_grad
-    mardia_sums = _vectorized.mardia_sums
-
-# Monte-Carlo per-direction evaluators are NumPy-vectorized on both backends:
-# measured on the target host, NumPy's SIMD exp beats scalar jitted loops ~3x
-# for these, and determinism is unaffected (per-direction values are
-# independent; reductions happen afterwards in a fixed order).
-mc_pair_values = _vectorized.mc_pair_values
-mc_normal_values = _vectorized.mc_normal_values
-
-IMPLEMENTATIONS = {
-    "numpy": {
-        "sum_phi_cross": _vectorized.sum_phi_cross,
-        "sum_phi_norms": _vectorized.sum_phi_norms,
-        "cw_normal_asym_grad": _vectorized.cw_normal_asym_grad,
-        "mardia_sums": _vectorized.mardia_sums,
-    }
-}
-if BACKEND == "numba":
-    IMPLEMENTATIONS["numba"] = {
-        "sum_phi_cross": _loops.sum_phi_cross,
-        "sum_phi_norms": _loops.sum_phi_norms,
-        "cw_normal_asym_grad": _loops.cw_normal_asym_grad,
-        "mardia_sums": _loops.mardia_sums,
-    }
+# Name of the one kernel implementation, exported as cramerwold.BACKEND.
+BACKEND = "numpy"

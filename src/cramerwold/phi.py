@@ -14,7 +14,9 @@ products of Gaussian-smoothed projections.  Three evaluation modes:
 import enum
 import math
 
-from . import _loops
+import numpy as np
+
+from . import _vectorized
 
 
 class PhiMode(enum.Enum):
@@ -24,9 +26,9 @@ class PhiMode(enum.Enum):
 
 
 _MODE_CODES = {
-    PhiMode.EXACT_SERIES: _loops.MODE_EXACT,
-    PhiMode.ASYMPTOTIC: _loops.MODE_ASYMPTOTIC,
-    PhiMode.BESSEL_D2: _loops.MODE_BESSEL2,
+    PhiMode.EXACT_SERIES: _vectorized.MODE_EXACT,
+    PhiMode.ASYMPTOTIC: _vectorized.MODE_ASYMPTOTIC,
+    PhiMode.BESSEL_D2: _vectorized.MODE_BESSEL2,
 }
 
 
@@ -74,39 +76,35 @@ def mode_code(mode):
     return _MODE_CODES[mode]
 
 
+def _value(dim, s, code):
+    return float(_vectorized.phi_values(dim, np.array([s]), code)[0])
+
+
 def phi_exact(dim, s):
     """1F1(1/2; dim/2; -s) to ~1e-13 relative accuracy."""
     _check_dim(dim)
-    s = _check_s(s)
-    return _loops.phi_exact_scalar(float(dim), s)
+    return _value(dim, _check_s(s), _vectorized.MODE_EXACT)
 
 
 def phi_asymptotic(dim, s):
     """Large-D closed form (1 + 4s/(2*dim-3))**-0.5."""
     _check_dim(dim)
-    s = _check_s(s)
-    return _loops.phi_asymptotic_scalar(float(dim), s)
+    return _value(dim, _check_s(s), _vectorized.MODE_ASYMPTOTIC)
 
 
 def phi_asymptotic_derivative(dim, s):
     """d/ds of phi_asymptotic: -(2/(2*dim-3)) (1 + 4s/(2*dim-3))**-1.5."""
     _check_dim(dim)
-    s = _check_s(s)
-    return _loops.phi_asymptotic_derivative_scalar(float(dim), s)
+    s = np.array([_check_s(s)])
+    return float(_vectorized.phi_asymptotic_derivative_values(dim, s)[0])
 
 
 def phi_bessel_d2(s):
     """exp(-s/2) I0(s/2): the dim = 2 profile via the two-branch polynomial fit."""
-    s = _check_s(s)
-    return _loops.phi_bessel2_scalar(s)
+    return _value(2, _check_s(s), _vectorized.MODE_BESSEL2)
 
 
 def phi(dim, s, mode=None):
     """Profile function with mode dispatch (``mode=None`` picks by dimension)."""
     resolved = resolve_mode(dim, mode)
-    s = _check_s(s)
-    if resolved is PhiMode.BESSEL_D2:
-        return _loops.phi_bessel2_scalar(s)
-    if resolved is PhiMode.ASYMPTOTIC:
-        return _loops.phi_asymptotic_scalar(float(dim), s)
-    return _loops.phi_exact_scalar(float(dim), s)
+    return _value(dim, _check_s(s), mode_code(resolved))

@@ -1,96 +1,14 @@
-"""Backend equivalence tests: jitted loops vs vectorized NumPy.
-
-Both implementations of every hot kernel must agree to near machine
-precision on data that exercises all evaluation branches of the profile
-function (series, large-argument expansion, quadrature window, Bessel fit,
-asymptotic closed form).
-"""
+"""Tests of the pairwise and Monte Carlo kernels against direct formulas."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from cramerwold import HAS_NUMBA, cw2_sample_normal, set_threads
-from cramerwold import _vectorized, kernels
-from cramerwold._loops import MODE_ASYMPTOTIC, MODE_BESSEL2, MODE_EXACT
+from cramerwold import _vectorized, cw2_sample_normal, kernels
+from cramerwold._vectorized import MODE_ASYMPTOTIC, MODE_BESSEL2, MODE_EXACT
 from cramerwold.oracle import l2_smoothed_1d
 from cramerwold.phi import PhiMode
-
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba backend unavailable")
-
-if HAS_NUMBA:
-    from cramerwold import _loops
-
-
-def branch_cases(rng):
-    """(x, y, scale, mode, label) tuples spanning every phi branch."""
-    return [
-        # small-argument Kummer series
-        (rng.standard_normal((25, 5)), rng.standard_normal((30, 5)) + 0.5,
-         0.5, MODE_EXACT, "series"),
-        # large-argument expansion (s >> 40 at dim 5)
-        (rng.standard_normal((25, 5)) * 6.0, rng.standard_normal((30, 5)) * 6.0 + 2.0,
-         0.5, MODE_EXACT, "expansion"),
-        # quadrature window 40 < s < dim at dim 64
-        (rng.standard_normal((20, 64)), rng.standard_normal((20, 64)) + 0.2,
-         0.4, MODE_EXACT, "quadrature"),
-        (rng.standard_normal((25, 2)), rng.standard_normal((30, 2)) * 2.0,
-         0.5, MODE_BESSEL2, "bessel"),
-        (rng.standard_normal((25, 20)), rng.standard_normal((30, 20)) + 0.3,
-         0.5, MODE_ASYMPTOTIC, "asymptotic"),
-    ]
-
-
-def pair_s_values(x, y, scale):
-    d2 = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
-    return d2.ravel() * scale
-
-
-@needs_numba
-class TestBackendEquivalence:
-    def test_branch_cases_actually_cover_their_branches(self, rng):
-        labels = {}
-        for x, y, scale, mode, label in branch_cases(rng):
-            labels[label] = pair_s_values(x, y, scale)
-        assert labels["series"].max() <= 40.0
-        assert (labels["expansion"] > 40.0).mean() > 0.9
-        window = (labels["quadrature"] > 40.0) & (labels["quadrature"] < 64.0)
-        assert window.any()
-
-    def test_sum_phi_cross(self, rng):
-        for x, y, scale, mode, label in branch_cases(rng):
-            a = _loops.sum_phi_cross(x, y, scale, mode)
-            b = _vectorized.sum_phi_cross(x, y, scale, mode)
-            assert a == pytest.approx(b, rel=1e-12), label
-
-    def test_sum_phi_norms(self, rng):
-        for x, _, scale, mode, label in branch_cases(rng):
-            a = _loops.sum_phi_norms(x, scale, mode)
-            b = _vectorized.sum_phi_norms(x, scale, mode)
-            assert a == pytest.approx(b, rel=1e-12), label
-
-    def test_cw_normal_asym_grad(self, rng):
-        z = rng.standard_normal((40, 8))
-        a = _loops.cw_normal_asym_grad(z, 0.3)
-        b = _vectorized.cw_normal_asym_grad(z, 0.3)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-16)
-
-    def test_mardia_sums(self, rng):
-        x = rng.standard_normal((60, 7)) * 1.3
-        a_cube, a_norm4 = _loops.mardia_sums(x)
-        b_cube, b_norm4 = _vectorized.mardia_sums(x)
-        assert a_cube == pytest.approx(b_cube, rel=1e-12)
-        assert a_norm4 == pytest.approx(b_norm4, rel=1e-12)
-
-    def test_jitted_kernels_are_deterministic(self, rng):
-        x = rng.standard_normal((30, 5)) * 4.0
-        first = _loops.sum_phi_cross(x, x, 0.5, MODE_EXACT)
-        second = _loops.sum_phi_cross(x, x, 0.5, MODE_EXACT)
-        assert first == second
 
 
 class TestSelfSums:
@@ -162,6 +80,15 @@ class TestMcKernels:
         got = _vectorized.mc_normal_values(a[None, :], g)[0]
         assert got == pytest.approx(expected, rel=1e-12)
 
+    def test_identical_projections_give_exact_zero(self, rng):
+        # 3000 directions span three chunks; every other direction projects
+        # both samples to the same points, and the rest differ in one point
+        px = rng.standard_normal((3000, 64)) * 1.7 + 0.3
+        py = px.copy()
+        py[1::2, 5] += 0.25
+        vals = _vectorized.mc_pair_values(px, py, 0.4)
+        assert np.all(vals[0::2] == 0.0)
+        assert np.all(vals[1::2] > 0.0)
 
     def test_values_across_chunks_match_dense_formula(self, rng):
         # 40 points per sample puts 1638 directions in a chunk, so 2000
@@ -183,40 +110,3 @@ class TestMcKernels:
             2.0 * math.sqrt(math.pi * (1.0 + g))
         ) - 2.0 * cross
         np.testing.assert_allclose(_vectorized.mc_normal_values(px, g), prior, rtol=1e-12)
-
-
-class TestBackendSelection:
-    def test_active_backend_matches_numba_presence(self):
-        from cramerwold import BACKEND
-
-        assert BACKEND == ("numba" if HAS_NUMBA else "numpy")
-
-    @needs_numba
-    def test_disable_flag_switches_to_numpy(self, rng, tmp_path):
-        x = rng.standard_normal((30, 5))
-        data_path = tmp_path / "x.npy"
-        np.save(data_path, x)
-        script = (
-            "import numpy as np\n"
-            "from cramerwold import BACKEND, cw2_sample_normal\n"
-            f"x = np.load({str(data_path)!r})\n"
-            "rep = cw2_sample_normal(x, gamma=0.5, mode='exact')\n"
-            "print(BACKEND)\n"
-            "print(repr(rep.squared_distance))\n"
-        )
-        env = dict(os.environ, CRAMERWOLD_DISABLE_NUMBA="1")
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        backend_line, value_line = proc.stdout.strip().splitlines()
-        assert backend_line == "numpy"
-        local = cw2_sample_normal(x, gamma=0.5, mode="exact").squared_distance
-        assert float(value_line) == pytest.approx(local, rel=1e-12)
-
-    def test_set_threads_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            set_threads(0)
-
-    def test_set_threads_accepts_one(self):
-        set_threads(1)

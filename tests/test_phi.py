@@ -4,6 +4,8 @@ Reference values were computed offline with independent methods: a
 truncated modified-Bessel series for the two-dimensional profile, a
 10^4-node Gauss-Legendre evaluation of the slice integral for the
 general profile, and central finite differences for the derivative.
+The vectorized profile is also checked against mpmath's 1F1 at 40 digits
+and the two-dimensional fit against scipy's exponentially scaled I0.
 """
 
 import math
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from cramerwold import phi, phi_asymptotic, phi_asymptotic_derivative, phi_bessel_d2, phi_exact
+from cramerwold import _vectorized
 from cramerwold.phi import PhiMode, resolve_mode
 
 
@@ -55,23 +58,17 @@ class TestExactProfile:
     def test_series_and_large_argument_branches_meet(self):
         # the evaluation strategy switches branches around s = 40; compare
         # the underlying implementations at shared arguments
-        from cramerwold._loops import (
-            phi_expansion_scalar,
-            phi_quad_scalar,
-            phi_series_scalar,
-        )
+        def at(branch, dim, s):
+            return branch(float(dim), np.array([s]))[0]
 
+        series = _vectorized._phi_series_vec
+        expansion = _vectorized._phi_expansion_vec
+        quad = _vectorized._phi_quad_vec
         for dim in (2, 5, 20):
-            a = phi_series_scalar(dim, 40.0)
-            b = phi_expansion_scalar(dim, 40.0)
-            assert a == pytest.approx(b, rel=1e-12)
+            assert at(series, dim, 40.0) == pytest.approx(at(expansion, dim, 40.0), rel=1e-12)
         # high dimensions route through quadrature between the two
-        assert phi_series_scalar(64, 40.0) == pytest.approx(
-            phi_quad_scalar(64, 40.0), rel=1e-12
-        )
-        assert phi_expansion_scalar(64, 64.0) == pytest.approx(
-            phi_quad_scalar(64, 64.0), rel=1e-12
-        )
+        assert at(series, 64, 40.0) == pytest.approx(at(quad, 64, 40.0), rel=1e-12)
+        assert at(expansion, 64, 64.0) == pytest.approx(at(quad, 64, 64.0), rel=1e-12)
 
     def test_strictly_decreasing_on_grid(self):
         for dim in (2, 5, 20, 64):
@@ -90,6 +87,40 @@ class TestExactProfile:
         s = 12.0
         vals = [phi_exact(d, s) for d in (3, 5, 10, 20, 64)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+class TestProfileAgainstHypergeometric:
+    """phi_values against 1F1(1/2; D/2; -s) from mpmath at 40 digits."""
+
+    @staticmethod
+    def branch_grids(dim):
+        # series s <= 40, expansion s >= max(D, 40), quadrature in between
+        grids = {
+            "series": np.linspace(0.0, 40.0, 81),
+            "expansion": np.geomspace(max(dim, 40.0), 1e4, 40),
+        }
+        if dim > 40:
+            grids["quadrature"] = np.linspace(40.25, dim - 0.25, 48)
+        return grids
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 20, 64])
+    def test_every_branch_to_1e13(self, dim):
+        mpmath = pytest.importorskip("mpmath")
+        for branch, s in self.branch_grids(dim).items():
+            got = _vectorized.phi_values(dim, s, _vectorized.MODE_EXACT)
+            with mpmath.workdps(40):
+                ref = np.array(
+                    [float(mpmath.hyp1f1(0.5, mpmath.mpf(dim) / 2, -mpmath.mpf(x))) for x in s]
+                )
+            rel = np.abs(got - ref) / ref
+            assert rel.max() <= 1e-13, (branch, s[rel.argmax()], rel.max())
+
+    def test_two_dim_fit_matches_scaled_bessel(self):
+        special = pytest.importorskip("scipy.special")
+        s = np.linspace(0.0, 200.0, 2001)
+        got = _vectorized.phi_values(2, s, _vectorized.MODE_BESSEL2)
+        ref = special.i0e(0.5 * s)  # exp(-s/2) I0(s/2)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-6  # measured 4.7e-7
 
 
 class TestAsymptoticProfile:
