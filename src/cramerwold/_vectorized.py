@@ -186,8 +186,7 @@ def cw_normal_asym_grad(z, gamma):
     pair = np.empty_like(z)
     for lo in range(0, n, rows):
         zc = z[lo:lo + rows]
-        d2 = nz[lo:lo + rows, None] + nz[None, :] - 2.0 * (zc @ z.T)
-        np.maximum(d2, 0.0, out=d2)
+        d2 = _pair_d2_chunk(zc, z, nz[lo:lo + rows], nz)
         w = phi_asymptotic_derivative_values(dim, d2 / (4.0 * gamma))
         pair[lo:lo + rows] = w.sum(axis=1)[:, None] * zc - w @ z
     wn = phi_asymptotic_derivative_values(dim, nz / (2.0 + 4.0 * gamma))

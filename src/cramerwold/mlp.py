@@ -2,8 +2,11 @@
 
 Encoder and decoder are ReLU stacks with linear output layers (the decoder
 optionally ends in a sigmoid for image data).  Weights initialize to
-fan-in-scaled uniform noise, biases to zero.  Parameters live in plain
-float64 arrays; updates are functional (new arrays, inputs untouched).
+fan-in-scaled uniform noise, biases to zero.  Every parameter lives in one
+float64 buffer, ``MlpParams.flat``: each layer's row-major ``W`` and then its
+``b``, encoder layers first, the order checkpoints store them in.  The
+``[W, b]`` entries are views into that buffer, a gradient is one array with
+the same layout, and Adam updates the buffer in place.
 """
 
 from dataclasses import dataclass
@@ -13,25 +16,44 @@ import numpy as np
 
 @dataclass
 class MlpParams:
-    encoder: list  # [W (fan_in, fan_out), b (fan_out,)] per layer
+    flat: np.ndarray  # every parameter, in layer order
+    encoder: list  # [W (fan_in, fan_out), b (fan_out,)] per layer, views into flat
     decoder: list
     output_activation: str = "identity"
+
+    def like(self, flat):
+        """The same layer layout over another buffer, such as a gradient."""
+        shapes = ([w.shape for w, _ in stack] for stack in (self.encoder, self.decoder))
+        return params_from_flat(flat, *shapes, self.output_activation)
 
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    m: np.ndarray  # moment estimates, laid out like MlpParams.flat
+    v: np.ndarray
     t: int = 0
 
 
-def _init_stack(sizes, rng):
-    layers = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        layers.append([w, np.zeros(fan_out)])
-    return layers
+def params_from_flat(flat, encoder_shapes, decoder_shapes, output_activation="identity"):
+    """MlpParams whose ``[W, b]`` entries are views into ``flat``.
+
+    Each stack lists its layers' ``(fan_in, fan_out)``; ``flat`` is a 1-D
+    contiguous float64 array holding exactly their parameters.
+    """
+    if flat.dtype != np.float64 or flat.ndim != 1 or not flat.flags.c_contiguous:
+        raise ValueError("flat must be a 1-D contiguous float64 array")
+    stacks = []
+    offset = 0
+    for shapes in (encoder_shapes, decoder_shapes):
+        layers = []
+        for fan_in, fan_out in shapes:
+            end = offset + fan_in * fan_out
+            layers.append([flat[offset:end].reshape(fan_in, fan_out), flat[end:end + fan_out]])
+            offset = end + fan_out
+        stacks.append(layers)
+    if offset != flat.size:
+        raise ValueError(f"flat holds {flat.size} values; the layers need {offset}")
+    return MlpParams(flat, stacks[0], stacks[1], output_activation)
 
 
 def init_mlp(input_dim, latent_dim, encoder_hidden, decoder_hidden, output_activation, rng):
@@ -39,13 +61,15 @@ def init_mlp(input_dim, latent_dim, encoder_hidden, decoder_hidden, output_activ
         raise ValueError(f"unknown output activation {output_activation!r}")
     if input_dim < 1 or latent_dim < 1:
         raise ValueError("input_dim and latent_dim must be positive")
-    enc_sizes = [input_dim, *encoder_hidden, latent_dim]
-    dec_sizes = [latent_dim, *decoder_hidden, input_dim]
-    return MlpParams(
-        encoder=_init_stack(enc_sizes, rng),
-        decoder=_init_stack(dec_sizes, rng),
-        output_activation=output_activation,
-    )
+    enc = [input_dim, *encoder_hidden, latent_dim]
+    dec = [latent_dim, *decoder_hidden, input_dim]
+    enc_shapes, dec_shapes = list(zip(enc[:-1], enc[1:])), list(zip(dec[:-1], dec[1:]))
+    size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in enc_shapes + dec_shapes)
+    params = params_from_flat(np.zeros(size), enc_shapes, dec_shapes, output_activation)
+    for w, _ in params.encoder + params.decoder:
+        bound = 1.0 / np.sqrt(w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def _sigmoid(x):
@@ -72,9 +96,9 @@ def _forward_stack(layers, h, final_activation):
     return h, caches
 
 
-def _backward_stack(layers, caches, final_activation, output, dout):
-    """Backprop through a stack; returns (per-layer grads, gradient at input)."""
-    grads = [None] * len(layers)
+def _backward_stack(layers, caches, final_activation, output, dout, grads):
+    """Backprop through a stack, writing each layer's gradient into the
+    ``[dW, db]`` views of ``grads``; returns the gradient at the input."""
     dh = dout
     for idx in range(len(layers) - 1, -1, -1):
         h_in, pre = caches[idx]
@@ -82,9 +106,11 @@ def _backward_stack(layers, caches, final_activation, output, dout):
             dpre = dh * output * (1.0 - output) if final_activation == "sigmoid" else dh
         else:
             dpre = dh * (pre > 0.0)
-        grads[idx] = [h_in.T @ dpre, dpre.sum(axis=0)]
+        gw, gb = grads[idx]
+        np.matmul(h_in.T, dpre, out=gw)
+        dpre.sum(axis=0, out=gb)
         dh = dpre @ layers[idx][0].T
-    return grads, dh
+    return dh
 
 
 def encode(params, x):
@@ -111,54 +137,17 @@ def mse(x, xhat):
     return float(np.einsum("ij,ij->i", diff, diff).mean())
 
 
-def param_arrays(params):
-    """Flat list of parameter arrays in a fixed traversal order."""
-    out = []
-    for w, b in params.encoder:
-        out.extend((w, b))
-    for w, b in params.decoder:
-        out.extend((w, b))
-    return out
+def init_adam(flat):
+    return AdamState(m=np.zeros_like(flat), v=np.zeros_like(flat), t=0)
 
 
-def grads_to_arrays(enc_grads, dec_grads):
-    out = []
-    for gw, gb in enc_grads:
-        out.extend((gw, gb))
-    for gw, gb in dec_grads:
-        out.extend((gw, gb))
-    return out
-
-
-def replace_params(params, arrays):
-    """Rebuild an MlpParams from a flat array list (inverse of param_arrays)."""
-    it = iter(arrays)
-    encoder = [[next(it), next(it)] for _ in params.encoder]
-    decoder = [[next(it), next(it)] for _ in params.decoder]
-    return MlpParams(encoder=encoder, decoder=decoder, output_activation=params.output_activation)
-
-
-def init_adam(arrays):
-    return AdamState(
-        m=[np.zeros_like(a) for a in arrays],
-        v=[np.zeros_like(a) for a in arrays],
-        t=0,
-    )
-
-
-def adam_step(arrays, grads, state, learning_rate=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8):
-    """One bias-corrected Adam update; returns (new arrays, new state)."""
-    t = state.t + 1
-    new_arrays = []
-    new_m = []
-    new_v = []
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
-    for a, g, m, v in zip(arrays, grads, state.m, state.v):
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * (g * g)
-        step = learning_rate * (m / bc1) / (np.sqrt(v / bc2) + epsilon)
-        new_arrays.append(a - step)
-        new_m.append(m)
-        new_v.append(v)
-    return new_arrays, AdamState(m=new_m, v=new_v, t=t)
+def adam_step(flat, grad, state, learning_rate=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    """One bias-corrected Adam update of ``flat``, ``state.m`` and ``state.v``, in place."""
+    state.t += 1
+    bc1 = 1.0 - beta1 ** state.t
+    bc2 = 1.0 - beta2 ** state.t
+    state.m *= beta1
+    state.m += (1.0 - beta1) * grad
+    state.v *= beta2
+    state.v += (1.0 - beta2) * (grad * grad)
+    flat -= learning_rate * (state.m / bc1) / (np.sqrt(state.v / bc2) + epsilon)

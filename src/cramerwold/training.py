@@ -98,66 +98,72 @@ class CwaeCost(NamedTuple):
     cw_squared: float
 
 
-def cwae_cost(x, params, gamma=None, eps_log=1e-12, cw_weight=1.0):
-    """Total / reconstruction / log-distance breakdown of the CWAE objective."""
-    x = np.asarray(x, dtype=np.float64)
-    z = mlp.encode(params, x)
-    xhat = mlp.decode(params, z)
+def _forward_cost(x, params, gamma, eps_log, cw_weight):
+    """Forward pass and CWAE cost of one batch: (cost, what backprop needs).
+
+    Latent codes that are not finite (a diverged run) give a NaN distance, so
+    ``train`` can name the epoch and step instead of the distance layer raising.
+    """
+    z, enc_caches = mlp._forward_stack(params.encoder, x, "identity")
+    xhat, dec_caches = mlp._forward_stack(params.decoder, z, params.output_activation)
     rec = mlp.mse(x, xhat)
-    report = cw2_sample_normal(z, gamma=gamma, mode=PhiMode.ASYMPTOTIC)
-    cw_sq = report.squared_distance
-    cw_log = math.log(max(cw_sq, eps_log))
-    return CwaeCost(
-        total=cw_weight * cw_log + rec,
-        mse=rec,
-        cw_log=cw_log,
-        cw_squared=cw_sq,
-    )
+    gamma = silverman_gamma(x.shape[0]) if gamma is None else gamma
+    cw_sq = math.nan
+    if np.isfinite(z).all():
+        report = cw2_sample_normal(z, gamma=gamma, mode=PhiMode.ASYMPTOTIC)
+        cw_sq, gamma = report.squared_distance, report.gamma
+    cw_log = math.log(max(cw_sq, eps_log))  # a NaN distance stays NaN
+    cost = CwaeCost(total=cw_weight * cw_log + rec, mse=rec, cw_log=cw_log, cw_squared=cw_sq)
+    return cost, (z, enc_caches, xhat, dec_caches, gamma)
+
+
+def cwae_cost(x, params, gamma=None, eps_log=1e-12, cw_weight=1.0):
+    """Total / reconstruction / log-distance breakdown of the CWAE objective.
+
+    Latent codes that are not finite give a NaN distance and a NaN total.
+    """
+    return _forward_cost(np.asarray(x, dtype=np.float64), params, gamma, eps_log, cw_weight)[0]
 
 
 def cost_and_grad(x, params, objective="cwae", gamma=None, eps_log=1e-12, cw_weight=1.0):
-    """Objective value and parameter gradients for one batch.
+    """Objective value and parameter gradient for one batch.
 
-    Returns (flat gradient arrays matching ``mlp.param_arrays``, CwaeCost).
-    For ``plain_ae`` the cost breakdown still reports the distance of the
-    codes to N(0, I) as a diagnostic, but no gradient flows from it.
+    Returns (gradient, CwaeCost).  The gradient is one float64 array laid out
+    like ``params.flat``; ``params.like(gradient)`` shows it per layer.  For
+    ``plain_ae`` the cost breakdown still reports the distance of the codes
+    to N(0, I) as a diagnostic, but no gradient flows from it.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    z, enc_caches = mlp._forward_stack(params.encoder, x, "identity")
-    xhat, dec_caches = mlp._forward_stack(params.decoder, z, params.output_activation)
-    rec = mlp.mse(x, xhat)
-    gamma_b = silverman_gamma(n) if gamma is None else gamma
-    report = cw2_sample_normal(z, gamma=gamma_b, mode=PhiMode.ASYMPTOTIC)
-    cw_sq = report.squared_distance
-    cw_log = math.log(max(cw_sq, eps_log))
-
-    dxhat = (2.0 / n) * (xhat - x)
-    dec_grads, dz = mlp._backward_stack(
-        params.decoder, dec_caches, params.output_activation, xhat, dxhat
+    cost, (z, enc_caches, xhat, dec_caches, gamma) = _forward_cost(
+        x, params, gamma, eps_log, cw_weight
     )
-    if objective == "cwae" and cw_sq > eps_log:
-        dz = dz + (cw_weight / cw_sq) * kernels.cw_normal_asym_grad(z, report.gamma)
-    enc_grads, _ = mlp._backward_stack(params.encoder, enc_caches, "identity", z, dz)
-    grads = mlp.grads_to_arrays(enc_grads, dec_grads)
-    total = (cw_weight * cw_log + rec) if objective == "cwae" else rec
-    return grads, CwaeCost(total=total, mse=rec, cw_log=cw_log, cw_squared=cw_sq)
+    grad = params.like(np.empty_like(params.flat))
+    dxhat = (2.0 / x.shape[0]) * (xhat - x)
+    dz = mlp._backward_stack(
+        params.decoder, dec_caches, params.output_activation, xhat, dxhat, grad.decoder
+    )
+    if objective == "cwae" and cost.cw_squared > eps_log:
+        dz = dz + (cw_weight / cost.cw_squared) * kernels.cw_normal_asym_grad(z, gamma)
+    mlp._backward_stack(params.encoder, enc_caches, "identity", z, dz, grad.encoder)
+    if objective != "cwae":
+        cost = cost._replace(total=cost.mse)
+    return grad.flat, cost
 
 
-def _clip_grads(grads, max_norm):
+def _clip_grads(grad, max_norm):
+    """``grad`` itself, or a rescaled copy when its norm exceeds ``max_norm`` > 0."""
     if max_norm <= 0:
-        return grads
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads))
-    if total > max_norm:
-        scale = max_norm / total
-        grads = [g * scale for g in grads]
-    return grads
+        return grad
+    total = math.sqrt(float((grad * grad).sum()))
+    return grad * (max_norm / total) if total > max_norm else grad
 
 
 def _record(epoch, params, valid, config):
     z = mlp.encode(params, valid)
+    if not np.isfinite(z).all():
+        raise ValueError(f"training diverged at epoch {epoch}: the validation codes are not finite")
     rec = mlp.mse(valid, mlp.decode(params, z))
     report = cw2_sample_normal(z, mode=PhiMode.ASYMPTOTIC)
     stats = mardia(z)
@@ -189,6 +195,10 @@ def train(config, train_data, valid_data):
         raise ValueError("train/validation dimension mismatch")
     if train_x.shape[0] < config.batch_size:
         raise ValueError("training set smaller than one batch")
+    for name, data in (("training", train_x), ("validation", valid_x)):
+        bad = ~np.isfinite(data).all(axis=1)
+        if bad.any():
+            raise ValueError(f"{name} data has a non-finite value in row {int(bad.argmax())}")
     valid_x = valid_x[: config.valid_cap]
 
     rng = np.random.default_rng(config.seed)
@@ -200,8 +210,7 @@ def train(config, train_data, valid_data):
         output_activation=config.output_activation,
         rng=rng,
     )
-    arrays = mlp.param_arrays(params)
-    state = mlp.init_adam(arrays)
+    state = mlp.init_adam(params.flat)
 
     if config.epochs == 0:
         return params, [_record(0, params, valid_x, config)]
@@ -210,28 +219,31 @@ def train(config, train_data, valid_data):
     n = train_x.shape[0]
     for epoch in range(1, config.epochs + 1):
         perm = rng.permutation(n)
-        for lo in range(0, n, config.batch_size):
+        for step, lo in enumerate(range(0, n, config.batch_size), start=1):
             batch = train_x[perm[lo:lo + config.batch_size]]
             if batch.shape[0] < 2 and config.objective == "cwae":
                 continue  # a singleton tail batch has no pairwise structure
-            grads, _ = cost_and_grad(
+            grad, cost = cost_and_grad(
                 batch,
                 params,
                 objective=config.objective,
                 eps_log=config.eps_log,
                 cw_weight=config.cw_weight,
             )
-            grads = _clip_grads(grads, config.grad_clip_norm)
-            arrays, state = mlp.adam_step(
-                arrays,
-                grads,
+            if not (math.isfinite(cost.total) and np.isfinite(grad).all()):
+                raise ValueError(
+                    f"training diverged at epoch {epoch}, step {step}: "
+                    f"the loss or its gradient is not finite (loss {cost.total!r})"
+                )
+            mlp.adam_step(
+                params.flat,
+                _clip_grads(grad, config.grad_clip_norm),
                 state,
                 learning_rate=config.learning_rate,
                 beta1=config.beta1,
                 beta2=config.beta2,
                 epsilon=config.adam_epsilon,
             )
-            params = mlp.replace_params(params, arrays)
         records.append(_record(epoch, params, valid_x, config))
     return params, records
 
@@ -356,21 +368,17 @@ def load_checkpoint(path):
             raise ValueError(f"unsupported checkpoint version {version}")
         (cfg_len,) = struct.unpack("<I", _read_exactly(fh, 4, "config length"))
         cfg_text = _read_exactly(fh, cfg_len, "config text").decode("utf-8")
-        stacks = []
-        for name in ("encoder", "decoder"):
+        shapes = ([], [])
+        blocks = []
+        for name, stack in zip(("encoder", "decoder"), shapes):
             (count,) = struct.unpack("<I", _read_exactly(fh, 4, f"{name} layer count"))
-            layers = []
             for idx in range(count):
                 rows, cols = struct.unpack("<II", _read_exactly(fh, 8, f"{name}[{idx}] shape"))
-                w = np.frombuffer(
-                    _read_exactly(fh, 8 * rows * cols, f"{name}[{idx}] weights"), dtype="<f8"
-                ).reshape(rows, cols).copy()
-                b = np.frombuffer(
-                    _read_exactly(fh, 8 * cols, f"{name}[{idx}] bias"), dtype="<f8"
-                ).copy()
-                layers.append([w, b])
-            stacks.append(layers)
+                blocks.append(_read_exactly(fh, 8 * rows * cols, f"{name}[{idx}] weights"))
+                blocks.append(_read_exactly(fh, 8 * cols, f"{name}[{idx}] bias"))
+                stack.append((rows, cols))
         (act_len,) = struct.unpack("<I", _read_exactly(fh, 4, "activation length"))
         act = _read_exactly(fh, act_len, "activation").decode("utf-8")
-    params = mlp.MlpParams(encoder=stacks[0], decoder=stacks[1], output_activation=act)
-    return params, cfg_text
+    # The weight and bias blocks, in file order, are exactly MlpParams.flat.
+    flat = np.frombuffer(b"".join(blocks), dtype="<f8").astype(np.float64)
+    return mlp.params_from_flat(flat, *shapes, act), cfg_text

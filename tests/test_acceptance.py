@@ -237,18 +237,16 @@ def test_criterion_6_gradient_correctness():
         # three weight layers per stack; biases nudged off the exact ReLU
         # kinks that zero-initialization creates
         params = mlp.init_mlp(4, 2, (8, 8), (8, 8), "identity", rng)
-        arrays = [a + 0.01 * rng.standard_normal(a.shape) for a in mlp.param_arrays(params)]
-        params = mlp.replace_params(params, arrays)
-        grads, _ = cost_and_grad(x, params, objective=objective)
+        params = params.like(params.flat + 0.01 * rng.standard_normal(params.flat.size))
+        grad, _ = cost_and_grad(x, params, objective=objective)
         dir_rng = np.random.default_rng(62)
         worst_rel = 0.0
         for _ in range(20):
-            ds = [dir_rng.standard_normal(a.shape) for a in arrays]
-            norm = math.sqrt(sum(float((d * d).sum()) for d in ds))
-            ds = [d / norm for d in ds]
-            analytic = sum(float((g * d).sum()) for g, d in zip(grads, ds))
-            plus = mlp.replace_params(params, [a + h * d for a, d in zip(arrays, ds)])
-            minus = mlp.replace_params(params, [a - h * d for a, d in zip(arrays, ds)])
+            d = dir_rng.standard_normal(params.flat.size)
+            d /= np.linalg.norm(d)
+            analytic = float(grad @ d)
+            plus = params.like(params.flat + h * d)
+            minus = params.like(params.flat - h * d)
             _, cp = cost_and_grad(x, plus, objective=objective)
             _, cm = cost_and_grad(x, minus, objective=objective)
             fd = (cp.total - cm.total) / (2.0 * h)

@@ -3,29 +3,28 @@
 import numpy as np
 import pytest
 
+from cramerwold import load_checkpoint, save_checkpoint
 from cramerwold.mlp import (
-    MlpParams,
     adam_step,
     decode,
     encode,
-    grads_to_arrays,
     init_adam,
     init_mlp,
     mse,
-    param_arrays,
+    params_from_flat,
     reconstruct,
-    replace_params,
 )
+from cramerwold.training import TrainConfig
+
+
+def one_layer_params(w_enc, w_dec, output_activation="identity"):
+    dim = w_enc.shape[0]
+    flat = np.concatenate([w_enc.ravel(), np.zeros(dim), w_dec.ravel(), np.zeros(dim)])
+    return params_from_flat(flat, [(dim, dim)], [(dim, dim)], output_activation)
 
 
 def identity_params(dim):
-    eye = np.eye(dim)
-    zero = np.zeros(dim)
-    return MlpParams(
-        encoder=[[eye.copy(), zero.copy()]],
-        decoder=[[eye.copy(), zero.copy()]],
-        output_activation="identity",
-    )
+    return one_layer_params(np.eye(dim), np.eye(dim))
 
 
 class TestForward:
@@ -38,7 +37,7 @@ class TestForward:
     def test_zero_decoder_mse_is_mean_squared_norm(self, rng):
         x = rng.standard_normal((16, 4))
         params = identity_params(4)
-        params.decoder = [[np.zeros((4, 4)), np.zeros(4)]]
+        params.decoder[0][0][...] = 0.0
         assert mse(x, reconstruct(params, x)) == pytest.approx(
             float((x**2).sum(axis=1).mean()), rel=1e-15
         )
@@ -69,11 +68,7 @@ class TestForward:
         assert np.all(xhat < 1.0)
 
     def test_sigmoid_is_stable_for_extreme_inputs(self):
-        params = MlpParams(
-            encoder=[[np.eye(2), np.zeros(2)]],
-            decoder=[[np.eye(2) * 500.0, np.zeros(2)]],
-            output_activation="sigmoid",
-        )
+        params = one_layer_params(np.eye(2), np.eye(2) * 500.0, "sigmoid")
         out = decode(params, np.array([[-100.0, 100.0]]))
         assert np.all(np.isfinite(out))
         assert out[0, 0] == pytest.approx(0.0, abs=1e-300)
@@ -104,56 +99,75 @@ class TestInit:
             init_mlp(0, 2, (4,), (4,), "identity", rng)
 
 
-class TestParamPlumbing:
-    def test_array_round_trip(self, rng):
-        params = init_mlp(5, 2, (7,), (6,), "sigmoid", rng)
-        arrays = param_arrays(params)
-        rebuilt = replace_params(params, arrays)
-        assert rebuilt.output_activation == "sigmoid"
-        for a, b in zip(param_arrays(rebuilt), arrays):
-            assert a is b
+class TestFlatLayout:
+    def views_share_flat(self, params):
+        return all(
+            np.shares_memory(a, params.flat)
+            for layer in params.encoder + params.decoder
+            for a in layer
+        )
 
-    def test_grads_follow_same_order(self, rng):
+    def test_init_and_checkpoint_lay_views_over_flat(self, rng, tmp_path):
+        params = init_mlp(5, 2, (7, 6), (6,), "sigmoid", rng)
+        sizes = [(5, 7), (7, 6), (6, 2), (2, 6), (6, 5)]
+        assert params.flat.size == sum(fan_in * fan_out + fan_out for fan_in, fan_out in sizes)
+        assert self.views_share_flat(params)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, TrainConfig(latent_dim=2, batch_size=8, epochs=1))
+        loaded, _ = load_checkpoint(path)
+        assert self.views_share_flat(loaded)
+        assert np.array_equal(loaded.flat, params.flat)
+
+    def test_adam_step_moves_the_views_in_place(self, rng):
+        params = init_mlp(5, 2, (7,), (6,), "identity", rng)
+        views = [a for layer in params.encoder + params.decoder for a in layer]
+        before = [a.copy() for a in views]
+        adam_step(params.flat, rng.standard_normal(params.flat.size), init_adam(params.flat))
+        for a, old in zip(views, before):
+            assert not np.array_equal(a, old)
+        # the views still cover the buffer, layer after layer
+        assert np.array_equal(np.concatenate([a.ravel() for a in views]), params.flat)
+
+    def test_like_lays_the_same_shapes_over_another_buffer(self, rng):
         params = init_mlp(3, 2, (4,), (4,), "identity", rng)
-        enc_g = [[np.zeros_like(w), np.zeros_like(b)] for w, b in params.encoder]
-        dec_g = [[np.zeros_like(w), np.zeros_like(b)] for w, b in params.decoder]
-        flat = grads_to_arrays(enc_g, dec_g)
-        assert [g.shape for g in flat] == [a.shape for a in param_arrays(params)]
+        grad = params.like(np.arange(params.flat.size, dtype=np.float64))
+        assert [w.shape for w, _ in grad.encoder] == [w.shape for w, _ in params.encoder]
+        assert grad.encoder[0][1][0] == 3 * 4  # the first bias follows the first W
+        assert grad.output_activation == "identity"
+
+    def test_rejects_a_buffer_of_the_wrong_size(self):
+        with pytest.raises(ValueError, match="need 12"):
+            params_from_flat(np.zeros(11), [(2, 2)], [(2, 2)])
 
 
 class TestAdam:
     def test_zero_gradient_leaves_arrays_unchanged(self, rng):
-        arrays = [rng.standard_normal((3, 4)), rng.standard_normal(4)]
-        state = init_adam(arrays)
-        new_arrays, new_state = adam_step(arrays, [np.zeros((3, 4)), np.zeros(4)], state)
-        assert new_state.t == 1
-        for a, b in zip(arrays, new_arrays):
-            assert np.array_equal(a, b)
+        flat = rng.standard_normal(16)
+        snapshot = flat.copy()
+        state = init_adam(flat)
+        adam_step(flat, np.zeros(16), state)
+        assert state.t == 1
+        assert np.array_equal(flat, snapshot)
 
     def test_first_step_mirrors_update_rule(self, rng):
-        a = rng.standard_normal((4, 4))
-        g = rng.standard_normal((4, 4))
+        a = rng.standard_normal(16)
+        g = rng.standard_normal(16)
         lr, b1, b2, eps = 0.001, 0.9, 0.999, 1e-8
-        new_arrays, _ = adam_step([a], [g], init_adam([a]), lr, b1, b2, eps)
+        flat = a.copy()
+        state = init_adam(flat)
+        adam_step(flat, g, state, lr, b1, b2, eps)
         m = (1.0 - b1) * g
         v = (1.0 - b2) * (g * g)
         expected = a - lr * (m / (1.0 - b1)) / (np.sqrt(v / (1.0 - b2)) + eps)
-        np.testing.assert_allclose(new_arrays[0], expected, rtol=1e-12)
+        assert np.array_equal(flat, expected)
+        assert np.array_equal(state.m, m)
+        assert np.array_equal(state.v, v)
         # far from zero-gradient points, the first step has size ~ lr
-        assert np.abs(a - new_arrays[0]).max() == pytest.approx(lr, rel=1e-4)
-
-    def test_inputs_are_not_mutated(self, rng):
-        a = rng.standard_normal((3, 3))
-        snapshot = a.copy()
-        state = init_adam([a])
-        adam_step([a], [rng.standard_normal((3, 3))], state)
-        assert np.array_equal(a, snapshot)
-        assert state.t == 0
+        assert np.abs(a - flat).max() == pytest.approx(lr, rel=1e-4)
 
     def test_minimizes_quadratic_bowl(self):
-        arrays = [np.array([3.0, -2.0, 0.5])]
-        state = init_adam(arrays)
+        flat = np.array([3.0, -2.0, 0.5])
+        state = init_adam(flat)
         for _ in range(600):
-            grads = [2.0 * arrays[0]]
-            arrays, state = adam_step(arrays, grads, state, learning_rate=0.05)
-        assert np.abs(arrays[0]).max() < 1e-4
+            adam_step(flat, 2.0 * flat, state, learning_rate=0.05)
+        assert np.abs(flat).max() < 1e-4

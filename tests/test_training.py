@@ -45,8 +45,7 @@ def nudged(params, rng, scale=0.01):
     than the subgradient backprop reports.  A small generic offset removes
     the degeneracy.
     """
-    arrays = [a + scale * rng.standard_normal(a.shape) for a in mlp.param_arrays(params)]
-    return mlp.replace_params(params, arrays)
+    return params.like(params.flat + scale * rng.standard_normal(params.flat.size))
 
 
 class TestCostBreakdown:
@@ -88,8 +87,7 @@ class TestCostBreakdown:
         assert cost.cw_log == math.log(10.0)
         floored, _ = cost_and_grad(x, params, objective="cwae", eps_log=10.0)
         plain, _ = cost_and_grad(x, params, objective="plain_ae")
-        for a, b in zip(floored, plain):
-            assert np.array_equal(a, b)
+        assert np.array_equal(floored, plain)
 
     def test_cost_and_grad_matches_cwae_cost(self, rng):
         x, params = small_net(rng)
@@ -119,35 +117,34 @@ class TestGradients:
         rng = np.random.default_rng(2024)
         x, params = small_net(rng, activation)
         params = nudged(params, rng)
-        arrays = mlp.param_arrays(params)
-        grads, _ = cost_and_grad(x, params, objective=objective)
+        grad, _ = cost_and_grad(x, params, objective=objective)
         h = 1e-5
         dir_rng = np.random.default_rng(2025)
         for _ in range(20):
-            ds = [dir_rng.standard_normal(a.shape) for a in arrays]
-            norm = math.sqrt(sum(float((d * d).sum()) for d in ds))
-            ds = [d / norm for d in ds]
-            analytic = sum(float((g * d).sum()) for g, d in zip(grads, ds))
-            plus = mlp.replace_params(params, [a + h * d for a, d in zip(arrays, ds)])
-            minus = mlp.replace_params(params, [a - h * d for a, d in zip(arrays, ds)])
+            d = dir_rng.standard_normal(params.flat.size)
+            d /= np.linalg.norm(d)
+            analytic = float(grad @ d)
+            plus = params.like(params.flat + h * d)
+            minus = params.like(params.flat - h * d)
             _, cp = cost_and_grad(x, plus, objective=objective)
             _, cm = cost_and_grad(x, minus, objective=objective)
             fd = (cp.total - cm.total) / (2.0 * h)
             assert analytic == pytest.approx(fd, rel=1e-4)
 
     def test_clip_disabled_returns_same_list(self, rng):
-        grads = [rng.standard_normal((3, 3))]
-        assert _clip_grads(grads, 0.0) is grads
+        grad = rng.standard_normal(9)
+        assert _clip_grads(grad, 0.0) is grad
 
     def test_clip_rescales_to_requested_norm(self, rng):
-        grads = [rng.standard_normal((5, 5)), rng.standard_normal(5)]
-        clipped = _clip_grads(grads, 1e-3)
-        total = math.sqrt(sum(float((g * g).sum()) for g in clipped))
-        assert total == pytest.approx(1e-3, rel=1e-12)
+        grad = rng.standard_normal(30)
+        snapshot = grad.copy()
+        clipped = _clip_grads(grad, 1e-3)
+        assert np.linalg.norm(clipped) == pytest.approx(1e-3, rel=1e-12)
+        assert np.array_equal(grad, snapshot)  # a new array, the input untouched
 
     def test_clip_leaves_small_gradients_alone(self, rng):
-        grads = [rng.standard_normal((3, 3)) * 1e-6]
-        assert _clip_grads(grads, 100.0) is grads
+        grad = rng.standard_normal(9) * 1e-6
+        assert _clip_grads(grad, 100.0) is grad
 
 
 class TestTrainLoop:
@@ -173,8 +170,7 @@ class TestTrainLoop:
         assert records[0].epoch == 0
         # parameters are exactly the seeded initialization
         ref = mlp.init_mlp(3, 2, (8,), (8,), "identity", np.random.default_rng(3))
-        for a, b in zip(mlp.param_arrays(params), mlp.param_arrays(ref)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(params.flat, ref.flat)
 
     def test_records_cover_every_epoch(self, rng):
         data = self.make_data(rng)
@@ -190,8 +186,7 @@ class TestTrainLoop:
         p1, r1 = train(self.small_config(), data, data[:16])
         p2, r2 = train(self.small_config(), data, data[:16])
         assert r1 == r2
-        for a, b in zip(mlp.param_arrays(p1), mlp.param_arrays(p2)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(p1.flat, p2.flat)
 
     def test_singleton_tail_batch_is_skipped(self, rng):
         # 5 points with batch 2 leaves a tail of one; the distance term
@@ -230,6 +225,26 @@ class TestTrainLoop:
     def test_rejects_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
             train(self.small_config(), rng.standard_normal((32, 3)), rng.standard_normal((8, 4)))
+
+    @pytest.mark.parametrize("which", ["training", "validation"])
+    def test_rejects_non_finite_data_naming_set_and_row(self, rng, which):
+        data = self.make_data(rng)
+        bad = data.copy()
+        bad[5, 1] = np.nan
+        bad[9, 0] = np.inf
+        args = (bad, data[:16]) if which == "training" else (data, bad[:16])
+        with pytest.raises(ValueError, match=f"^{which} data has a non-finite value in row 5$"):
+            train(self.small_config(), *args)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_diverging_run_stops_naming_epoch_and_step(self, rng):
+        data = self.make_data(rng)
+        with pytest.raises(ValueError, match=r"^training diverged at epoch 1, step 2: "):
+            train(self.small_config(learning_rate=1e300), data, data[:16])
+        # with one step per epoch the epoch's record is the first to see it
+        with pytest.raises(ValueError, match=r"^training diverged at epoch 1: "):
+            train(self.small_config(learning_rate=1e300, batch_size=64), data, data[:16])
 
 
 class TestConfigValidation:
@@ -337,8 +352,8 @@ class TestCheckpoint:
         loaded, cfg_text = load_checkpoint(path)
         assert loaded.output_activation == "sigmoid"
         assert cfg_text == config_to_text(cfg)
-        for a, b in zip(mlp.param_arrays(params), mlp.param_arrays(loaded)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(loaded.flat, params.flat)
+        assert [w.shape for w, _ in loaded.decoder] == [w.shape for w, _ in params.decoder]
 
     def test_bad_magic_is_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
