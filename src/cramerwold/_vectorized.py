@@ -5,10 +5,12 @@ written once here.  Exact mode sums the all-positive Kummer transform
 ``exp(-s) * 1F1((D-1)/2; D/2; s)`` as a series for s <= 40, a large-argument
 expansion for s >= max(D, 40), and 200-node Gauss-Legendre quadrature of the
 interval integral in the window between.  The pairwise sums work on
-cache-sized chunks of the squared-distance matrix; the Monte Carlo evaluators
-run NumPy's SIMD ``exp`` over contiguous (points, directions) strips.
+cache-sized chunks of the squared-distance matrix, a self-sum on square tiles
+of its upper triangle; the Monte Carlo evaluators run NumPy's SIMD ``exp``
+over contiguous (points, directions) strips.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -29,6 +31,8 @@ _GLX, _GLW = np.polynomial.legendre.leggauss(QUAD_NODES)
 # 16k elements leaves room for the half-dozen temporaries of the masked
 # large-argument expansion loop without spilling out of L2.
 _CHUNK_ELEMS = 1 << 14
+# Side of the square tiles a self-sum walks, so each tile is one chunk.
+_TILE = math.isqrt(_CHUNK_ELEMS)
 # Elements per Monte-Carlo strip (points x directions): 512 KiB of float64,
 # which stays in L2 while a strip goes through its subtract, square, scale,
 # exp and sum passes.  n = 64 gets 1024 directions per chunk; measured at
@@ -151,21 +155,50 @@ def _pair_d2_chunk(xc, y, nxc, ny):
     return d2
 
 
+@functools.lru_cache(maxsize=None)
+def _strict_upper(side):
+    """Flat indices of the pairs i < j in a side x side tile, built once per side."""
+    i, j = np.triu_indices(side, 1)
+    flat = i * side + j
+    flat.flags.writeable = False
+    return flat
+
+
+def _sum_phi_self(x, scale, mode):
+    # phi is even in the pair and phi(0) = 1 exactly in every mode, so a
+    # self-sum is n plus twice the sum over the pairs i < j.  Those pairs are
+    # walked in square tiles on and above the diagonal; a diagonal tile takes
+    # only its strict upper triangle.
+    n, dim = x.shape
+    nx = np.einsum("ij,ij->i", x, x)
+    parts = []
+    for lo in range(0, n, _TILE):
+        xc, nc = x[lo:lo + _TILE], nx[lo:lo + _TILE]
+        d2 = _pair_d2_chunk(xc, xc, nc, nc)
+        tri = d2.ravel()[_strict_upper(xc.shape[0])]
+        parts.append(float(phi_values(dim, tri * scale, mode).sum()))
+        for col in range(lo + _TILE, n, _TILE):
+            d2 = _pair_d2_chunk(xc, x[col:col + _TILE], nc, nx[col:col + _TILE])
+            parts.append(float(phi_values(dim, d2 * scale, mode).sum()))
+    return n + 2.0 * math.fsum(parts)
+
+
 def sum_phi_cross(x, y, scale, mode):
     n, dim = x.shape
     k = y.shape[0]
+    # Pair distances do not depend on the origin; centring the samples on
+    # their joint mean keeps the Gram trick from cancelling large offsets.
+    if y is x or (x.shape == y.shape and np.array_equal(x, y)):
+        return _sum_phi_self(x - x.sum(axis=0) / n, scale, mode)
+    centre = (x.sum(axis=0) + y.sum(axis=0)) / (n + k)
+    x = x - centre
+    y = y - centre
     nx = np.einsum("ij,ij->i", x, x)
     ny = np.einsum("ij,ij->i", y, y)
-    # In a self-sum (y holds the same points as x) the diagonal pairs a point
-    # with itself.  The Gram trick leaves rounding noise there that grows
-    # with the offset of the point, so those distances are set to exact 0.
-    self_sum = y is x or (x.shape == y.shape and np.array_equal(x, y))
     rows = max(1, min(n, _CHUNK_ELEMS // max(k, 1)))
     parts = []
     for lo in range(0, n, rows):
         d2 = _pair_d2_chunk(x[lo:lo + rows], y, nx[lo:lo + rows], ny)
-        if self_sum:
-            np.fill_diagonal(d2[:, lo:], 0.0)
         parts.append(float(phi_values(dim, d2 * scale, mode).sum()))
     return math.fsum(parts)
 
@@ -194,12 +227,20 @@ def cw_normal_asym_grad(z, gamma):
 
 
 def mardia_sums(x):
-    n = x.shape[0]
-    rows = max(1, min(n, _CHUNK_ELEMS // n))
+    n, dim = x.shape
     cube_parts = []
-    for lo in range(0, n, rows):
-        g = x[lo:lo + rows] @ x.T
-        cube_parts.append(float((g * g * g).sum()))
+    if dim * dim < n:
+        # sum_{j,k} (x_j . x_k)^3 is the squared Frobenius norm of the
+        # third-moment tensor T_abc = sum_j x_ja x_jb x_jc (Mardia 1970);
+        # slice a of T is X^T diag(x_.a) X.  O(n D^3) instead of O(n^2 D).
+        for a in range(dim):
+            t = (x * x[:, a:a + 1]).T @ x
+            cube_parts.append(float((t * t).sum()))
+    else:
+        rows = max(1, min(n, _CHUNK_ELEMS // n))
+        for lo in range(0, n, rows):
+            g = x[lo:lo + rows] @ x.T
+            cube_parts.append(float((g * g * g).sum()))
     nx = np.einsum("ij,ij->i", x, x)
     return math.fsum(cube_parts), float((nx * nx).sum())
 

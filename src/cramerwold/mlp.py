@@ -96,9 +96,10 @@ def _forward_stack(layers, h, final_activation):
     return h, caches
 
 
-def _backward_stack(layers, caches, final_activation, output, dout, grads):
+def _backward_stack(layers, caches, final_activation, output, dout, grads, input_grad=True):
     """Backprop through a stack, writing each layer's gradient into the
-    ``[dW, db]`` views of ``grads``; returns the gradient at the input."""
+    ``[dW, db]`` views of ``grads``; returns the gradient at the input, or
+    None without computing it when ``input_grad`` is false."""
     dh = dout
     for idx in range(len(layers) - 1, -1, -1):
         h_in, pre = caches[idx]
@@ -109,6 +110,8 @@ def _backward_stack(layers, caches, final_activation, output, dout, grads):
         gw, gb = grads[idx]
         np.matmul(h_in.T, dpre, out=gw)
         dpre.sum(axis=0, out=gb)
+        if idx == 0 and not input_grad:
+            return None
         dh = dpre @ layers[idx][0].T
     return dh
 

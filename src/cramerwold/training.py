@@ -146,7 +146,9 @@ def cost_and_grad(x, params, objective="cwae", gamma=None, eps_log=1e-12, cw_wei
     )
     if objective == "cwae" and cost.cw_squared > eps_log:
         dz = dz + (cw_weight / cost.cw_squared) * kernels.cw_normal_asym_grad(z, gamma)
-    mlp._backward_stack(params.encoder, enc_caches, "identity", z, dz, grad.encoder)
+    mlp._backward_stack(
+        params.encoder, enc_caches, "identity", z, dz, grad.encoder, input_grad=False
+    )
     if objective != "cwae":
         cost = cost._replace(total=cost.mse)
     return grad.flat, cost

@@ -164,6 +164,18 @@ class TestSampleSample:
         b = cw2_sample_sample(x @ q, y @ q, gamma=0.6, mode=PhiMode.EXACT_SERIES)
         assert b.squared_distance == pytest.approx(a.squared_distance, rel=1e-10)
 
+    @pytest.mark.parametrize("offset", [1e5, 1e7])
+    def test_large_offsets_leave_the_distance_unchanged(self, offset):
+        # Points on a 2^-20 grid of [-2, 2.5): shifting them by the offset is
+        # exact, so any change in the distance is the program's rounding
+        rng = np.random.default_rng(2)
+        x = rng.integers(-(2**21), 2**21, (200, 5)) / 2.0**20
+        y = rng.integers(-(2**21), 2**21, (200, 5)) / 2.0**20 + 0.5
+        assert np.array_equal((x + offset) - offset, x)
+        base = cw2_sample_sample(x, y, gamma=0.6, mode=PhiMode.EXACT_SERIES)
+        moved = cw2_sample_sample(x + offset, y + offset, gamma=0.6, mode=PhiMode.EXACT_SERIES)
+        assert moved.squared_distance == pytest.approx(base.squared_distance, rel=1e-12)
+
     def test_near_identical_stays_clamped(self, rng):
         x = rng.standard_normal((30, 5))
         rep = cw2_sample_sample(x, x + 1e-14, gamma=0.6, mode=PhiMode.EXACT_SERIES)

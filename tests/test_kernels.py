@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cramerwold import _vectorized, cw2_sample_normal, kernels
+from cramerwold import _vectorized, cw2_sample_normal, cw2_sample_sample, kernels
 from cramerwold._vectorized import MODE_ASYMPTOTIC, MODE_BESSEL2, MODE_EXACT
 from cramerwold.oracle import l2_smoothed_1d
 from cramerwold.phi import PhiMode
@@ -34,6 +34,23 @@ class TestSelfSums:
         brute = math.fsum(_vectorized.phi_values(dim, d2.ravel() * 0.3125, mode))
         got = kernels.sum_phi_cross(x, x, 0.3125, mode)
         assert got == pytest.approx(brute, rel=1e-12)
+
+    @pytest.mark.parametrize("mode, dim", MODES)
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 259])
+    def test_tile_edges_match_brute_force(self, rng, mode, dim, n):
+        # self-sums walk 128 x 128 tiles: one point, one partial tile, one
+        # exact tile, a tile plus one row, and a ragged third tile
+        x = rng.standard_normal((n, dim)) * 1.5
+        d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(d2, 0.0)
+        brute = math.fsum(_vectorized.phi_values(dim, d2.ravel() * 0.3125, mode))
+        assert kernels.sum_phi_cross(x, x, 0.3125, mode) == pytest.approx(brute, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", [PhiMode.EXACT_SERIES, PhiMode.ASYMPTOTIC])
+    def test_distance_to_a_copy_is_exactly_zero_across_tiles(self, rng, mode):
+        x = rng.standard_normal((259, 20))
+        rep = cw2_sample_sample(x, x.copy(), mode=mode)
+        assert rep.pre_clamp == 0.0
 
 
 class TestGradientKernel:

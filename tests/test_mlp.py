@@ -5,6 +5,8 @@ import pytest
 
 from cramerwold import load_checkpoint, save_checkpoint
 from cramerwold.mlp import (
+    _backward_stack,
+    _forward_stack,
     adam_step,
     decode,
     encode,
@@ -138,6 +140,23 @@ class TestFlatLayout:
     def test_rejects_a_buffer_of_the_wrong_size(self):
         with pytest.raises(ValueError, match="need 12"):
             params_from_flat(np.zeros(11), [(2, 2)], [(2, 2)])
+
+
+class TestBackward:
+    def test_skipping_the_input_gradient_leaves_the_layer_gradients(self, rng):
+        params = init_mlp(6, 3, (5, 4), (4,), "identity", rng)
+        x = rng.standard_normal((7, 6))
+        out, caches = _forward_stack(params.encoder, x, "identity")
+        dout = rng.standard_normal(out.shape)
+        full = params.like(np.zeros_like(params.flat))
+        dx = _backward_stack(params.encoder, caches, "identity", out, dout, full.encoder)
+        assert dx.shape == x.shape
+        part = params.like(np.zeros_like(params.flat))
+        skipped = _backward_stack(
+            params.encoder, caches, "identity", out, dout, part.encoder, input_grad=False
+        )
+        assert skipped is None
+        assert np.array_equal(part.flat, full.flat)
 
 
 class TestAdam:

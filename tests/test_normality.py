@@ -1,5 +1,7 @@
 """Tests for the raw Mardia normality statistics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,36 @@ class TestInvariances:
         half = rng.standard_normal((30, 5))
         x = np.vstack([half, -half])
         assert abs(mardia(x).skewness) <= 1e-9
+
+
+def brute_force_cube_sum(x):
+    return math.fsum(float(np.dot(a, b)) ** 3 for a in x for b in x)
+
+
+class TestRoutes:
+    """The cube sum takes the Gram route when n <= D^2, else the moment tensor."""
+
+    # (n, D) on each side of D^2 = n
+    SHAPES = [(25, 5), (26, 5), (40, 8), (150, 4)]
+
+    @pytest.mark.parametrize("n, dim", SHAPES)
+    def test_matches_brute_force_double_loop(self, rng, n, dim):
+        x = rng.standard_normal((n, dim)) + 0.3
+        assert mardia(x).skewness == pytest.approx(brute_force_cube_sum(x) / n**2, rel=1e-12)
+
+    @pytest.mark.parametrize("n, dim", SHAPES)
+    def test_doubling_and_sign_flip_are_exact(self, rng, n, dim):
+        x = rng.standard_normal((n, dim))
+        base = mardia(x)
+        assert mardia(2.0 * x).skewness == 64.0 * base.skewness
+        assert mardia(-x).skewness == base.skewness
+
+    def test_tensor_route_skewness_is_nonnegative(self, rng):
+        # a sample closed under negation has skewness 0; the tensor route is
+        # a sum of squares, so rounding cannot push it below 0
+        for _ in range(20):
+            half = rng.standard_normal((30, 5))
+            assert mardia(np.vstack([half, -half])).skewness >= 0.0
 
 
 class TestStatisticalBehaviour:
