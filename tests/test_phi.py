@@ -56,19 +56,26 @@ class TestExactProfile:
             assert phi_exact(2, s) == pytest.approx(bessel_series_phi2(s), rel=1e-12)
 
     def test_series_and_large_argument_branches_meet(self):
-        # the evaluation strategy switches branches around s = 40; compare
-        # the underlying implementations at shared arguments
+        # the series serves s <= 40 or s < D, the expansion the rest;
+        # compare the two implementations on either side of each seam
         def at(branch, dim, s):
             return branch(float(dim), np.array([s]))[0]
 
         series = _vectorized._phi_series_vec
         expansion = _vectorized._phi_expansion_vec
-        quad = _vectorized._phi_quad_vec
         for dim in (2, 5, 20):
             assert at(series, dim, 40.0) == pytest.approx(at(expansion, dim, 40.0), rel=1e-12)
-        # high dimensions route through quadrature between the two
-        assert at(series, 64, 40.0) == pytest.approx(at(quad, 64, 40.0), rel=1e-12)
-        assert at(expansion, 64, 64.0) == pytest.approx(at(quad, 64, 64.0), rel=1e-12)
+        for dim in (64, 200, 784):
+            below = at(series, dim, np.nextafter(float(dim), 0.0))
+            assert below == pytest.approx(at(expansion, dim, float(dim)), rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [64, 200])
+    def test_value_does_not_depend_on_its_batch(self, dim):
+        s = np.linspace(40.0, dim, 302)[1:-1]
+        batch = _vectorized.phi_values(dim, s, _vectorized.MODE_EXACT)
+        alone = [_vectorized.phi_values(dim, s[i:i + 1], _vectorized.MODE_EXACT)[0]
+                 for i in range(s.size)]
+        assert np.array_equal(batch, alone)
 
     def test_strictly_decreasing_on_grid(self):
         for dim in (2, 5, 20, 64):
@@ -93,27 +100,36 @@ class TestProfileAgainstHypergeometric:
     """phi_values against 1F1(1/2; D/2; -s) from mpmath at 40 digits."""
 
     @staticmethod
-    def branch_grids(dim):
-        # series s <= 40, expansion s >= max(D, 40), quadrature in between
-        grids = {
-            "series": np.linspace(0.0, 40.0, 81),
-            "expansion": np.geomspace(max(dim, 40.0), 1e4, 40),
-        }
-        if dim > 40:
-            grids["quadrature"] = np.linspace(40.25, dim - 0.25, 48)
-        return grids
-
-    @pytest.mark.parametrize("dim", [2, 3, 5, 20, 64])
-    def test_every_branch_to_1e13(self, dim):
+    def reference(dim, s):
         mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            return np.array(
+                [float(mpmath.hyp1f1(0.5, mpmath.mpf(dim) / 2, -mpmath.mpf(x))) for x in s]
+            )
+
+    @staticmethod
+    def branch_grids(dim):
+        # series s <= 40 or s < D, expansion s >= max(D, 40)
+        series = np.linspace(0.0, 40.0, 81)
+        if dim > 40:
+            series = np.concatenate([series, np.linspace(40.25, dim - 0.25, 48)])
+        return {"series": series, "expansion": np.geomspace(max(dim, 40.0), 1e4, 40)}
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 20, 64, 200, 784])
+    def test_every_branch_to_1e13(self, dim):
         for branch, s in self.branch_grids(dim).items():
             got = _vectorized.phi_values(dim, s, _vectorized.MODE_EXACT)
-            with mpmath.workdps(40):
-                ref = np.array(
-                    [float(mpmath.hyp1f1(0.5, mpmath.mpf(dim) / 2, -mpmath.mpf(x))) for x in s]
-                )
+            ref = self.reference(dim, s)
             rel = np.abs(got - ref) / ref
             assert rel.max() <= 1e-13, (branch, s[rel.argmax()], rel.max())
+
+    def test_rescaled_series_at_dim_3072_to_1e12(self):
+        # the series over 40 < s < D; above s = 460 it rescales its sums
+        s = np.linspace(40.5, 3071.5, 60)
+        got = _vectorized.phi_values(3072, s, _vectorized.MODE_EXACT)
+        ref = self.reference(3072, s)
+        rel = np.abs(got - ref) / ref
+        assert rel.max() <= 1e-12, (s[rel.argmax()], rel.max())
 
     def test_two_dim_fit_matches_scaled_bessel(self):
         special = pytest.importorskip("scipy.special")
