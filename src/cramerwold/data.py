@@ -1,6 +1,7 @@
 """Dataset containers, CSV / IDX readers, and synthetic generators."""
 
 import gzip
+import re
 import struct
 from dataclasses import dataclass
 
@@ -28,40 +29,43 @@ class Dataset:
         return self.points.shape[1]
 
 
+# A cell NumPy's reader takes: float()'s syntax less '_' separators and non-ASCII digits.
+_DECIMAL = re.compile(r"[+-]?((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf(inity)?|nan)", re.A | re.I)
+
+
 def load_csv(path, has_header=False):
     """Numeric CSV -> Dataset; ``has_header`` skips the first line.
 
-    Ragged rows and unparseable cells raise ValueError naming the 1-based
-    row and column.
+    Cells are comma-separated decimals, parsed by NumPy's C reader to the
+    bits ``float()`` gives; blank lines are skipped.  Ragged rows and bad
+    cells (``1_000`` too) raise ValueError naming the 1-based row and column.
     """
-    rows = []
-    width = None
-    with open(path, "r", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if has_header and lineno == 1:
-                continue
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise ValueError(
-                    f"row {lineno}: expected {width} columns, found {len(cells)}"
-                )
-            parsed = np.empty(width, dtype=np.float64)
-            for col, cell in enumerate(cells, start=1):
-                try:
-                    parsed[col - 1] = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"row {lineno}, column {col}: could not parse {cell.strip()!r}"
-                    ) from None
-            rows.append(parsed)
+    with open(path, "r") as fh:  # universal newlines: CRLF and CR end lines too
+        lines = fh.read().split("\n")
+    if has_header:
+        lines[0] = ""
+    rows = [line for line in lines if line.strip()]
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(points=np.vstack(rows), source=str(path))
+    try:
+        points = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as err:
+        raise ValueError(_first_bad_cell(lines) or f"{path}: {err}") from None
+    return Dataset(points=points, source=str(path))
+
+
+def _first_bad_cell(lines):
+    width = None
+    for lineno, line in enumerate(lines, start=1):
+        cells = line.strip().split(",")
+        if cells == [""]:
+            continue
+        width = width or len(cells)
+        if len(cells) != width:
+            return f"row {lineno}: expected {width} columns, found {len(cells)}"
+        for col, cell in enumerate(cells, start=1):
+            if not _DECIMAL.fullmatch(cell.strip()):
+                return f"row {lineno}, column {col}: could not parse {cell.strip()!r}"
 
 
 def save_csv(path, points):

@@ -5,8 +5,8 @@ radial profile that turns squared point distances into sphere-averaged
 products of Gaussian-smoothed projections.  Three evaluation modes:
 
 * ``PhiMode.EXACT_SERIES``  - all-positive Kummer series for s <= 40 or s < D,
-  large-argument expansion elsewhere; within 1e-13 relative of mpmath up to
-  D = 784 and about 2e-13 at D = 3072 (default for 3 <= D < 20);
+  large-argument expansion elsewhere; within 5e-15 relative of mpmath up to
+  D = 784 and 1.2e-14 at D = 3072 (default for 3 <= D < 20);
 * ``PhiMode.ASYMPTOTIC``    - ``(1 + 4s/(2D-3))**-0.5`` (default for D >= 20);
 * ``PhiMode.BESSEL_D2``     - ``exp(-s/2) I0(s/2)`` via the Abramowitz-Stegun
   polynomial fit (D = 2 only; the default there).
@@ -82,7 +82,7 @@ def _value(dim, s, code):
 
 
 def phi_exact(dim, s):
-    """1F1(1/2; dim/2; -s): within 1e-13 relative up to dim = 784, ~2e-13 at 3072."""
+    """1F1(1/2; dim/2; -s): within 5e-15 relative up to dim = 784, 1.2e-14 at 3072."""
     _check_dim(dim)
     return _value(dim, _check_s(s), _vectorized.MODE_EXACT)
 

@@ -35,6 +35,7 @@ def write_idx_labels(path, labels):
     return blob
 
 
+@pytest.mark.filterwarnings("error")
 class TestCsv:
     def test_round_trip_is_exact(self, rng, tmp_path):
         points = rng.standard_normal((20, 4)) * 1e3
@@ -73,6 +74,50 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(ValueError, match="no data rows"):
             load_csv(path)
+
+    def test_whitespace_only_line_is_skipped(self, tmp_path):
+        path = tmp_path / "spaces.csv"
+        path.write_text("1,2\n   \n\t\n3,4\n")
+        assert np.array_equal(load_csv(path).points, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_crlf_line_endings_parse(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"a,b\r\n1.5,2\r\n\r\n3,4.5\r\n")
+        loaded = load_csv(path, has_header=True)
+        assert np.array_equal(loaded.points, [[1.5, 2.0], [3.0, 4.5]])
+
+    def test_header_only_file_is_rejected(self, tmp_path):
+        path = tmp_path / "header_only.csv"
+        path.write_text("a,b\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_csv(path, has_header=True)
+
+    def test_trailing_comma_names_the_empty_column(self, tmp_path):
+        path = tmp_path / "trailing.csv"
+        path.write_text("1,2,\n3,4,\n")
+        with pytest.raises(ValueError, match="row 1, column 3"):
+            load_csv(path)
+
+    def test_ragged_row_after_blank_line_names_its_line(self, tmp_path):
+        path = tmp_path / "ragged_gap.csv"
+        path.write_text("1,2\n\n3,4,5\n")
+        with pytest.raises(ValueError, match="row 3: expected 2 columns, found 3"):
+            load_csv(path)
+
+    def test_digit_separator_is_rejected(self, tmp_path):
+        # float() takes '1_000'; the loader does not
+        path = tmp_path / "underscore.csv"
+        path.write_text("1,2\n3,1_000\n")
+        with pytest.raises(ValueError, match="row 2, column 2"):
+            load_csv(path)
+
+    def test_extreme_values_round_trip_bit_for_bit(self, tmp_path):
+        points = np.array([[-0.0, 5e-324, 1.7976931348623157e308],
+                           [0.0, -5e-324, -1.7976931348623157e308]])
+        path = tmp_path / "extremes.csv"
+        save_csv(path, points)
+        loaded = load_csv(path).points
+        assert np.array_equal(loaded.view(np.int64), points.view(np.int64))
 
     def test_save_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValueError):

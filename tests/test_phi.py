@@ -69,7 +69,7 @@ class TestExactProfile:
             below = at(series, dim, np.nextafter(float(dim), 0.0))
             assert below == pytest.approx(at(expansion, dim, float(dim)), rel=1e-12)
 
-    @pytest.mark.parametrize("dim", [64, 200])
+    @pytest.mark.parametrize("dim", [5, 64, 200])
     def test_value_does_not_depend_on_its_batch(self, dim):
         s = np.linspace(40.0, dim, 302)[1:-1]
         batch = _vectorized.phi_values(dim, s, _vectorized.MODE_EXACT)
@@ -130,6 +130,16 @@ class TestProfileAgainstHypergeometric:
         ref = self.reference(3072, s)
         rel = np.abs(got - ref) / ref
         assert rel.max() <= 1e-12, (s[rel.argmax()], rel.max())
+
+    @pytest.mark.parametrize("dim", [3, 5, 20, 64, 784, 3072, 10_000])
+    def test_expansion_constant_to_1e15(self, dim):
+        # Gamma(D/2) / Gamma((D-1)/2), which scales every expansion value
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            half = mpmath.mpf(dim) / 2
+            ref = mpmath.gamma(half) / mpmath.gamma(half - mpmath.mpf(1) / 2)
+            rel = abs((_vectorized._gamma_ratio(float(dim)) - ref) / ref)
+        assert rel <= 1e-15, float(rel)
 
     def test_two_dim_fit_matches_scaled_bessel(self):
         special = pytest.importorskip("scipy.special")
