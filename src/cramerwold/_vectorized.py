@@ -16,9 +16,10 @@ import math
 
 import numpy as np
 
-MODE_EXACT = 0
-MODE_ASYMPTOTIC = 1
-MODE_BESSEL2 = 2
+# Profile modes: the values of the str enum phi.PhiMode, so either form works.
+MODE_EXACT = "exact"
+MODE_ASYMPTOTIC = "asymptotic"
+MODE_BESSEL2 = "bessel2"
 
 SERIES_SWITCH = 40.0  # the series serves s <= 40 or s < D, the expansion the rest
 # The series scales its sums by exp(-460) ~ 1e-200 when they pass exp(460),
@@ -149,7 +150,7 @@ def phi_values(dim, s, mode):
         return _phi_bessel2_vec(s)
     if mode == MODE_EXACT:
         return _phi_exact_vec(float(dim), s)
-    raise ValueError(f"unknown mode code {mode!r}")
+    raise ValueError(f"unknown phi mode {mode!r}")
 
 
 def phi_asymptotic_derivative_values(dim, s):

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels
 from .distance import silverman_gamma
-from .phi import mode_code, resolve_mode
+from .phi import resolve_mode
 
 RATIO_LOW = 2.5
 RATIO_HIGH = 6.0
@@ -41,13 +41,13 @@ class BenchReport:
         )
 
 
-def _workload(x, gamma, code):
+def _workload(x, gamma, mode):
     scale_pair = 0.25 / gamma
     scale_norm = 1.0 / (2.0 + 4.0 * gamma)
 
     def run():
-        kernels.sum_phi_cross(x, x, scale_pair, code)
-        kernels.sum_phi_norms(x, scale_norm, code)
+        kernels.sum_phi_cross(x, x, scale_pair, mode)
+        kernels.sum_phi_norms(x, scale_norm, mode)
         kernels.cw_normal_asym_grad(x, gamma)
 
     return run
@@ -73,11 +73,11 @@ def run_bench(dim=64, sizes=(128, 256), repeats=20, warmup=3, seed=0, mode=None)
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if warmup < 0:
         raise ValueError("warmup must be >= 0")
-    code = mode_code(resolve_mode(dim, mode))
+    mode = resolve_mode(dim, mode)
     rng = np.random.default_rng(seed)
     data = {n: np.ascontiguousarray(rng.standard_normal((n, dim))) for n in sizes}
     per_size = {
-        n: _time_mean(_workload(data[n], silverman_gamma(n), code), repeats, warmup)
+        n: _time_mean(_workload(data[n], silverman_gamma(n), mode), repeats, warmup)
         for n in sizes
     }
     backend = kernels.BACKEND

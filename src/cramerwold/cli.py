@@ -24,10 +24,11 @@ import sys
 import time
 
 from . import bench, data, oracle, training
-from .distance import cw2_sample_normal, cw2_sample_sample, silverman_gamma
+from .distance import cw2_sample_normal, cw2_sample_sample
 from .normality import mardia
+from .phi import PhiMode
 
-MODE_CHOICES = ("auto", "exact", "asymptotic", "bessel2")
+MODE_CHOICES = ("auto", *(m.value for m in PhiMode))
 Z_LIMIT = 4.0
 
 
@@ -60,23 +61,21 @@ def _load_points(path):
     return data.load_csv(path).points
 
 
-def _resolve_gamma(args, *sizes):
-    if args.gamma is not None:
-        return args.gamma
-    return silverman_gamma(min(sizes))
+def _closed_form(args):
+    """(x, y, report) for the sample and --y; the distance layer defaults gamma."""
+    x = _load_points(args.sample)
+    if args.y is None:
+        return x, None, cw2_sample_normal(x, gamma=args.gamma, mode=args.mode)
+    y = _load_points(args.y)
+    return x, y, cw2_sample_sample(x, y, gamma=args.gamma, mode=args.mode)
 
 
 def _cmd_dist(args, started):
-    x = _load_points(args.sample)
+    _, y, report = _closed_form(args)
     pairs = [("command", "dist")]
-    if args.y is None:
-        gamma = _resolve_gamma(args, x.shape[0])
-        report = cw2_sample_normal(x, gamma=gamma, mode=args.mode)
+    if y is None:
         pairs.extend([("target", "normal"), ("n", report.n)])
     else:
-        y = _load_points(args.y)
-        gamma = _resolve_gamma(args, x.shape[0], y.shape[0])
-        report = cw2_sample_sample(x, y, gamma=gamma, mode=args.mode)
         pairs.extend([("target", "sample"), ("n", report.n), ("k", report.k)])
     pairs.extend([
         ("dim", report.dim),
@@ -89,20 +88,11 @@ def _cmd_dist(args, started):
 
 
 def _cmd_oracle_validate(args, started):
-    x = _load_points(args.sample)
-    if args.y is None:
-        gamma = _resolve_gamma(args, x.shape[0])
-        report = cw2_sample_normal(x, gamma=gamma, mode=args.mode)
-        estimate = oracle.cw2_normal_monte_carlo(
-            x, args.directions, args.seed, gamma=gamma
-        )
-        target = "normal"
+    x, y, report = _closed_form(args)
+    if y is None:
+        estimate = oracle.cw2_normal_monte_carlo(x, args.directions, args.seed, gamma=report.gamma)
     else:
-        y = _load_points(args.y)
-        gamma = _resolve_gamma(args, x.shape[0], y.shape[0])
-        report = cw2_sample_sample(x, y, gamma=gamma, mode=args.mode)
-        estimate = oracle.cw2_monte_carlo(x, y, args.directions, args.seed, gamma=gamma)
-        target = "sample"
+        estimate = oracle.cw2_monte_carlo(x, y, args.directions, args.seed, gamma=report.gamma)
     closed = report.squared_distance
     if estimate.std_error == 0.0:
         z = 0.0 if closed == estimate.estimate else math.inf
@@ -112,14 +102,14 @@ def _cmd_oracle_validate(args, started):
     _emit(
         [
             ("command", "oracle-validate"),
-            ("target", target),
+            ("target", "normal" if y is None else "sample"),
             ("closed_form", closed),
             ("mc_estimate", estimate.estimate),
             ("mc_std_error", estimate.std_error),
             ("z_score", z),
             ("directions", args.directions),
             ("seed", args.seed),
-            ("gamma", gamma),
+            ("gamma", report.gamma),
             ("mode", report.mode.value),
             ("verdict", "ok" if ok else "deviates"),
         ],
@@ -153,7 +143,11 @@ def _cmd_train(args, started):
         config, extras = training.config_from_text(fh.read(), extra_keys=("valid_fraction",))
     if args.seed is not None:
         config.seed = args.seed
-    valid_fraction = float(extras.get("valid_fraction", 0.1))
+    valid_fraction = extras.get("valid_fraction", "0.1")
+    try:
+        valid_fraction = float(valid_fraction)
+    except ValueError:
+        raise ValueError(f"field 'valid_fraction': could not parse {valid_fraction!r}") from None
     dataset = data.load_csv(args.data)
     train_set, valid_set = data.train_valid_split(
         dataset, valid_fraction=valid_fraction, seed=config.seed
@@ -164,7 +158,6 @@ def _cmd_train(args, started):
     curves_path = os.path.join(args.out, "curves.csv")
     training.save_checkpoint(ckpt_path, params, config)
     training.records_to_csv(records, curves_path)
-    last = records[-1]
     _emit(
         [
             ("command", "train"),
@@ -173,13 +166,7 @@ def _cmd_train(args, started):
             ("seed", config.seed),
             ("n_train", train_set.n),
             ("n_valid", valid_set.n),
-            ("final_epoch", last.epoch),
-            ("final_rec_error", last.rec_error),
-            ("final_cw_pre_log", last.cw_pre_log),
-            ("final_cw_post_log", last.cw_post_log),
-            ("final_skewness", last.skewness),
-            ("final_kurtosis", last.kurtosis),
-            ("final_normalized_kurtosis", last.normalized_kurtosis),
+            *((f"final_{name}", getattr(records[-1], name)) for name in training.CSV_COLUMNS),
             ("checkpoint", ckpt_path),
             ("curves", curves_path),
         ],

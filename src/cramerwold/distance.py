@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .phi import PhiMode, mode_code, phi, resolve_mode
+from .phi import PhiMode, phi, resolve_mode
 
 
 @dataclass(frozen=True)
@@ -84,16 +84,15 @@ def cw2_sample_sample(x, y, gamma=None, mode=None):
     k = y.shape[0]
     gamma = silverman_gamma(min(n, k)) if gamma is None else _check_gamma(gamma)
     resolved = resolve_mode(dim, mode)
-    code = mode_code(resolved)
 
     # The cross-sum accumulation order must not depend on argument order,
     # otherwise swapping x and y could change the result in the last ulp.
     a, b = x, y
     if (k, y.tobytes()) < (n, x.tobytes()):
         a, b = y, x
-    saa = kernels.sum_phi_cross(a, a, 1.0 / (4.0 * gamma), code)
-    sbb = kernels.sum_phi_cross(b, b, 1.0 / (4.0 * gamma), code)
-    sab = kernels.sum_phi_cross(a, b, 1.0 / (4.0 * gamma), code)
+    saa = kernels.sum_phi_cross(a, a, 1.0 / (4.0 * gamma), resolved)
+    sbb = kernels.sum_phi_cross(b, b, 1.0 / (4.0 * gamma), resolved)
+    sab = kernels.sum_phi_cross(a, b, 1.0 / (4.0 * gamma), resolved)
     na = a.shape[0]
     nb = b.shape[0]
     if na == nb:
@@ -122,9 +121,8 @@ def cw2_sample_normal(x, gamma=None, mode=None):
     n, dim = x.shape
     gamma = silverman_gamma(n) if gamma is None else _check_gamma(gamma)
     resolved = resolve_mode(dim, mode)
-    code = mode_code(resolved)
-    s_pair = kernels.sum_phi_cross(x, x, 1.0 / (4.0 * gamma), code)
-    s_norm = kernels.sum_phi_norms(x, 1.0 / (2.0 + 4.0 * gamma), code)
+    s_pair = kernels.sum_phi_cross(x, x, 1.0 / (4.0 * gamma), resolved)
+    s_norm = kernels.sum_phi_norms(x, 1.0 / (2.0 + 4.0 * gamma), resolved)
     pre = (
         s_pair / math.sqrt(gamma)
         + n * n / math.sqrt(1.0 + gamma)

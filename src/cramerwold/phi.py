@@ -20,17 +20,10 @@ import numpy as np
 from . import _vectorized
 
 
-class PhiMode(enum.Enum):
-    EXACT_SERIES = "exact"
-    ASYMPTOTIC = "asymptotic"
-    BESSEL_D2 = "bessel2"
-
-
-_MODE_CODES = {
-    PhiMode.EXACT_SERIES: _vectorized.MODE_EXACT,
-    PhiMode.ASYMPTOTIC: _vectorized.MODE_ASYMPTOTIC,
-    PhiMode.BESSEL_D2: _vectorized.MODE_BESSEL2,
-}
+class PhiMode(str, enum.Enum):
+    EXACT_SERIES = _vectorized.MODE_EXACT
+    ASYMPTOTIC = _vectorized.MODE_ASYMPTOTIC
+    BESSEL_D2 = _vectorized.MODE_BESSEL2
 
 
 def _check_dim(dim):
@@ -72,25 +65,20 @@ def resolve_mode(dim, mode=None):
     return mode
 
 
-def mode_code(mode):
-    """Integer code used by the kernels for a PhiMode."""
-    return _MODE_CODES[mode]
-
-
-def _value(dim, s, code):
-    return float(_vectorized.phi_values(dim, np.array([s]), code)[0])
+def _value(dim, s, mode):
+    return float(_vectorized.phi_values(dim, np.array([s]), mode)[0])
 
 
 def phi_exact(dim, s):
     """1F1(1/2; dim/2; -s): within 5e-15 relative up to dim = 784, 1.2e-14 at 3072."""
     _check_dim(dim)
-    return _value(dim, _check_s(s), _vectorized.MODE_EXACT)
+    return _value(dim, _check_s(s), PhiMode.EXACT_SERIES)
 
 
 def phi_asymptotic(dim, s):
     """Large-D closed form (1 + 4s/(2*dim-3))**-0.5."""
     _check_dim(dim)
-    return _value(dim, _check_s(s), _vectorized.MODE_ASYMPTOTIC)
+    return _value(dim, _check_s(s), PhiMode.ASYMPTOTIC)
 
 
 def phi_asymptotic_derivative(dim, s):
@@ -102,10 +90,10 @@ def phi_asymptotic_derivative(dim, s):
 
 def phi_bessel_d2(s):
     """exp(-s/2) I0(s/2): the dim = 2 profile via the two-branch polynomial fit."""
-    return _value(2, _check_s(s), _vectorized.MODE_BESSEL2)
+    return _value(2, _check_s(s), PhiMode.BESSEL_D2)
 
 
 def phi(dim, s, mode=None):
     """Profile function with mode dispatch (``mode=None`` picks by dimension)."""
     resolved = resolve_mode(dim, mode)
-    return _value(dim, _check_s(s), mode_code(resolved))
+    return _value(dim, _check_s(s), resolved)

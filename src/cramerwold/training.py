@@ -21,21 +21,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels, mlp
-from .distance import cw2_sample_normal, silverman_gamma
+from .distance import cw2_sample_normal
 from .normality import mardia
 from .phi import PhiMode
 
 OBJECTIVES = ("cwae", "plain_ae")
-
-CSV_COLUMNS = (
-    "epoch",
-    "rec_error",
-    "cw_pre_log",
-    "cw_post_log",
-    "skewness",
-    "kurtosis",
-    "normalized_kurtosis",
-)
 
 
 @dataclass
@@ -74,10 +64,20 @@ def validate_config(config):
         )
     if config.output_activation not in ("identity", "sigmoid"):
         raise ValueError(f"unknown output activation {config.output_activation!r}")
-    if config.learning_rate <= 0 or config.eps_log <= 0:
-        raise ValueError("learning_rate and eps_log must be > 0")
-    if config.grad_clip_norm < 0:
+    for name in ("learning_rate", "eps_log", "adam_epsilon"):
+        value = getattr(config, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    for name in ("beta1", "beta2"):
+        value = getattr(config, name)
+        if not 0.0 <= value < 1.0:
+            raise ValueError(f"{name} must lie in [0, 1), got {value!r}")
+    if not math.isfinite(config.cw_weight):
+        raise ValueError(f"cw_weight must be finite, got {config.cw_weight!r}")
+    if not config.grad_clip_norm >= 0:
         raise ValueError("grad_clip_norm must be >= 0 (0 disables clipping)")
+    if config.valid_cap < 1:
+        raise ValueError(f"valid_cap must be >= 1, got {config.valid_cap}")
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,9 @@ class TrainRecord:
     skewness: float
     kurtosis: float
     normalized_kurtosis: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(TrainRecord))
 
 
 class CwaeCost(NamedTuple):
@@ -107,7 +110,6 @@ def _forward_cost(x, params, gamma, eps_log, cw_weight):
     z, enc_caches = mlp._forward_stack(params.encoder, x, "identity")
     xhat, dec_caches = mlp._forward_stack(params.decoder, z, params.output_activation)
     rec = mlp.mse(x, xhat)
-    gamma = silverman_gamma(x.shape[0]) if gamma is None else gamma
     cw_sq = math.nan
     if np.isfinite(z).all():
         report = cw2_sample_normal(z, gamma=gamma, mode=PhiMode.ASYMPTOTIC)
@@ -197,6 +199,8 @@ def train(config, train_data, valid_data):
         raise ValueError("train/validation dimension mismatch")
     if train_x.shape[0] < config.batch_size:
         raise ValueError("training set smaller than one batch")
+    if valid_x.shape[0] == 0:
+        raise ValueError("validation set is empty")
     for name, data in (("training", train_x), ("validation", valid_x)):
         bad = ~np.isfinite(data).all(axis=1)
         if bad.any():
@@ -255,15 +259,7 @@ def records_to_csv(records, path):
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for rec in records:
-            writer.writerow([
-                rec.epoch,
-                repr(rec.rec_error),
-                repr(rec.cw_pre_log),
-                repr(rec.cw_post_log),
-                repr(rec.skewness),
-                repr(rec.kurtosis),
-                repr(rec.normalized_kurtosis),
-            ])
+            writer.writerow([rec.epoch, *(repr(getattr(rec, c)) for c in CSV_COLUMNS[1:])])
 
 
 # --- flat key=value config text (train command input, checkpoint echo) ---

@@ -5,12 +5,21 @@ the key=value output and compared against direct library calls — the repr
 float format means equality is exact, not approximate.
 """
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from cramerwold import __version__, cli, load_checkpoint, mardia, silverman_gamma
+from cramerwold import (
+    __version__,
+    cli,
+    cw2_monte_carlo,
+    cw2_normal_monte_carlo,
+    load_checkpoint,
+    mardia,
+    silverman_gamma,
+)
 from cramerwold.data import save_csv
 from cramerwold.distance import cw2_sample_normal, cw2_sample_sample
 
@@ -172,6 +181,36 @@ class TestOracleValidate:
         assert report["verdict"] == "deviates"
         assert abs(float(report["z_score"])) > cli.Z_LIMIT
 
+    @pytest.mark.parametrize("target", ["normal", "sample"])
+    @pytest.mark.parametrize("gamma", [None, 0.3])
+    def test_report_matches_library_exactly(self, capsys, sample_csv, tmp_path, target, gamma):
+        # the default gamma is the Silverman rule at min(n, k): 16 and 11 here
+        path, x = sample_csv
+        argv = ["oracle-validate", str(path), "--directions", "300", "--seed", "4"]
+        if target == "sample":
+            y = np.random.default_rng(8).standard_normal((11, 5)) * 1.2 + 0.3
+            save_csv(tmp_path / "y11.csv", y)
+            argv += ["--y", str(tmp_path / "y11.csv")]
+        if gamma is not None:
+            argv += ["--gamma", repr(gamma)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        report = parse_report(out)
+        if target == "normal":
+            g = silverman_gamma(16) if gamma is None else gamma
+            closed = cw2_sample_normal(x, gamma=g)
+            estimate = cw2_normal_monte_carlo(x, 300, 4, gamma=g)
+        else:
+            g = silverman_gamma(11) if gamma is None else gamma
+            closed = cw2_sample_sample(x, y, gamma=g)
+            estimate = cw2_monte_carlo(x, y, 300, 4, gamma=g)
+        assert report["target"] == target
+        assert float(report["closed_form"]) == closed.squared_distance
+        assert float(report["mc_estimate"]) == estimate.estimate
+        assert float(report["mc_std_error"]) == estimate.std_error
+        assert float(report["gamma"]) == g == closed.gamma
+        assert report["mode"] == closed.mode.value
+
     def test_too_few_directions_is_a_usage_error(self, capsys, sample_csv):
         path, _ = sample_csv
         code, _, err = run_cli(
@@ -247,6 +286,33 @@ class TestTrain:
         )
         assert code == 2
         assert "latent_dim" in err
+
+
+    def test_final_lines_equal_the_last_curves_row(self, rng, tmp_path, capsys):
+        data_path, config_path = self.write_inputs(rng, tmp_path, epochs=3)
+        out_dir = tmp_path / "run"
+        code, out, _ = run_cli(
+            capsys, "train", str(data_path), "--config", str(config_path),
+            "--out", str(out_dir),
+        )
+        assert code == 0
+        report = parse_report(out)
+        with open(out_dir / "curves.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        finals = {k: v for k, v in report.items() if k.startswith("final_")}
+        assert finals == {f"final_{name}": value for name, value in zip(rows[0], rows[-1])}
+
+    def test_unparseable_valid_fraction_is_named(self, rng, tmp_path, capsys):
+        data_path, config_path = self.write_inputs(rng, tmp_path)
+        config_path.write_text(
+            config_path.read_text().replace("valid_fraction=0.25", "valid_fraction=a quarter")
+        )
+        code, _, err = run_cli(
+            capsys, "train", str(data_path), "--config", str(config_path),
+            "--out", str(tmp_path / "run"),
+        )
+        assert code == 2
+        assert "valid_fraction" in err and "'a quarter'" in err
 
 
 class TestBench:

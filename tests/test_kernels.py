@@ -15,8 +15,11 @@ class TestSelfSums:
     """A self-sum pairs every point with itself at distance exactly 0."""
 
     MODES = [(MODE_EXACT, 20), (MODE_ASYMPTOTIC, 20), (MODE_BESSEL2, 2)]
+    # The ids the cases had when the modes were the integer codes 0, 1 and 2;
+    # the mode strings would otherwise rename every case.
+    MODE_IDS = ["0-20", "1-20", "2-2"]
 
-    @pytest.mark.parametrize("mode, dim", MODES)
+    @pytest.mark.parametrize("mode, dim", MODES, ids=MODE_IDS)
     @pytest.mark.parametrize("offset", [0.0, 1e7])
     def test_single_point_gives_phi_of_zero(self, rng, mode, dim, offset):
         # phi(0) = 1 in every mode, whatever the point and its offset
@@ -25,7 +28,7 @@ class TestSelfSums:
             assert kernels.sum_phi_cross(p, p, 0.3125, mode) == 1.0
             assert kernels.sum_phi_cross(p, p.copy(), 0.3125, mode) == 1.0
 
-    @pytest.mark.parametrize("mode, dim", MODES)
+    @pytest.mark.parametrize("mode, dim", MODES, ids=MODE_IDS)
     def test_sample_matches_brute_force_with_zero_diagonal(self, rng, mode, dim):
         # 200 rows span several kernel chunks, so every chunk's diagonal is hit
         x = rng.standard_normal((200, dim)) * 1.5
@@ -35,7 +38,7 @@ class TestSelfSums:
         got = kernels.sum_phi_cross(x, x, 0.3125, mode)
         assert got == pytest.approx(brute, rel=1e-12)
 
-    @pytest.mark.parametrize("mode, dim", MODES)
+    @pytest.mark.parametrize("mode, dim", MODES, ids=MODE_IDS)
     @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 259])
     def test_tile_edges_match_brute_force(self, rng, mode, dim, n):
         # self-sums walk 128 x 128 tiles: one point, one partial tile, one
@@ -46,11 +49,40 @@ class TestSelfSums:
         brute = math.fsum(_vectorized.phi_values(dim, d2.ravel() * 0.3125, mode))
         assert kernels.sum_phi_cross(x, x, 0.3125, mode) == pytest.approx(brute, rel=1e-12)
 
-    @pytest.mark.parametrize("mode", [PhiMode.EXACT_SERIES, PhiMode.ASYMPTOTIC])
+    @pytest.mark.parametrize("mode", [PhiMode.EXACT_SERIES, PhiMode.ASYMPTOTIC],
+                             ids=["PhiMode.EXACT_SERIES", "PhiMode.ASYMPTOTIC"])
     def test_distance_to_a_copy_is_exactly_zero_across_tiles(self, rng, mode):
         x = rng.standard_normal((259, 20))
         rep = cw2_sample_sample(x, x.copy(), mode=mode)
         assert rep.pre_clamp == 0.0
+
+
+class TestModeRoute:
+    """The kernels take a PhiMode as is; a member and its value string are one mode."""
+
+    @pytest.mark.parametrize("mode", list(PhiMode))
+    def test_member_and_name_string_give_the_same_bits(self, rng, mode):
+        dim = 2 if mode is PhiMode.BESSEL_D2 else 20
+        assert mode == mode.value
+        s = np.concatenate([rng.uniform(0.0, 60.0, 400), [0.0, 7.5, 20.0, 40.0, 300.0]])
+        by_member = _vectorized.phi_values(dim, s, mode)
+        by_name = _vectorized.phi_values(dim, s, mode.value)
+        assert by_member.tobytes() == by_name.tobytes()
+        x = rng.standard_normal((150, dim)) * 1.5
+        y = rng.standard_normal((90, dim)) + 0.5
+        for a, b in ((x, x), (x, y)):
+            assert kernels.sum_phi_cross(a, b, 0.3125, mode) == kernels.sum_phi_cross(
+                a, b, 0.3125, mode.value
+            )
+
+    def test_unknown_mode_is_rejected_by_name(self, rng):
+        x = rng.standard_normal((4, 5))
+        with pytest.raises(ValueError, match="'bogus'"):
+            _vectorized.phi_values(5, np.array([1.0]), "bogus")
+        with pytest.raises(ValueError, match="'bogus'"):
+            kernels.sum_phi_cross(x, x, 0.3125, "bogus")
+        with pytest.raises(ValueError, match="'bogus'"):
+            cw2_sample_normal(x, mode="bogus")
 
 
 class TestGradientKernel:

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,19 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=f"^{which} data has a non-finite value in row 5$"):
             train(self.small_config(), *args)
 
+    def test_rejects_empty_validation_set_by_name(self, rng):
+        data = self.make_data(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "Mean of empty slice" on the way
+            with pytest.raises(ValueError, match="^validation set is empty$"):
+                train(self.small_config(), data, data[:0])
+
+    @pytest.mark.parametrize("field, value", [("learning_rate", math.nan), ("beta2", 1.0)])
+    def test_bad_config_fails_before_training(self, rng, field, value):
+        data = self.make_data(rng)
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            train(self.small_config(**{field: value}), data, data[:16])
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_diverging_run_stops_naming_epoch_and_step(self, rng):
@@ -245,6 +259,27 @@ class TestTrainLoop:
         # with one step per epoch the epoch's record is the first to see it
         with pytest.raises(ValueError, match=r"^training diverged at epoch 1: "):
             train(self.small_config(learning_rate=1e300, batch_size=64), data, data[:16])
+
+
+# Values that used to pass validation: a negative cap silently dropped the
+# last validation row, a zero cap failed in the distance layer, and the
+# rest surfaced as a diverging run.
+NAMED_REJECTIONS = [
+    ("valid_cap", 0),
+    ("valid_cap", -1),
+    ("beta1", 1.0),
+    ("beta1", -0.1),
+    ("beta1", math.nan),
+    ("beta2", 1.0),
+    ("learning_rate", math.nan),
+    ("learning_rate", math.inf),
+    ("eps_log", math.nan),
+    ("adam_epsilon", 0.0),
+    ("adam_epsilon", math.nan),
+    ("cw_weight", math.nan),
+    ("cw_weight", -math.inf),
+    ("grad_clip_norm", math.nan),
+]
 
 
 class TestConfigValidation:
@@ -268,11 +303,18 @@ class TestConfigValidation:
             {"learning_rate": 0.0},
             {"eps_log": 0.0},
             {"grad_clip_norm": -1.0},
+            *({field: value} for field, value in NAMED_REJECTIONS),
         ],
     )
     def test_rejections(self, overrides):
         with pytest.raises(ValueError):
             validate_config(self.good(**overrides))
+
+    @pytest.mark.parametrize("field, value", NAMED_REJECTIONS)
+    def test_rejection_names_the_field(self, field, value):
+        # a bad value is a config error, not a run that diverges at step 1 or 2
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            validate_config(self.good(**{field: value}))
 
     def test_plain_objective_allows_other_phi_modes(self):
         validate_config(self.good(objective="plain_ae", phi_mode="exact"))
@@ -341,6 +383,24 @@ class TestCsvExport:
             assert int(row[0]) == rec.epoch
             assert float(row[1]) == rec.rec_error  # repr round-trips exactly
             assert float(row[3]) == rec.cw_post_log
+
+
+    def test_header_is_the_fixed_column_order(self, rng, tmp_path):
+        # the file format: it follows the field order of TrainRecord
+        header = ("epoch", "rec_error", "cw_pre_log", "cw_post_log",
+                  "skewness", "kurtosis", "normalized_kurtosis")
+        assert CSV_COLUMNS == header
+        data = rng.standard_normal((32, 3))
+        cfg = TrainConfig(latent_dim=2, batch_size=8, epochs=0,
+                          encoder_hidden=(8,), decoder_hidden=(8,))
+        _, records = train(cfg, data, data)
+        path = tmp_path / "curve.csv"
+        records_to_csv(records, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert tuple(rows[0]) == header
+        assert rows[1] == [str(records[0].epoch)] + [repr(getattr(records[0], c))
+                                                     for c in header[1:]]
 
 
 class TestCheckpoint:
