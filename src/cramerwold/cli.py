@@ -143,6 +143,7 @@ def _cmd_train(args, started):
         config, extras = training.config_from_text(fh.read(), extra_keys=("valid_fraction",))
     if args.seed is not None:
         config.seed = args.seed
+    training.validate_config(config)
     valid_fraction = extras.get("valid_fraction", "0.1")
     try:
         valid_fraction = float(valid_fraction)

@@ -4,8 +4,8 @@ This is the independent validation route for the closed forms in
 :mod:`cramerwold.distance`: project onto random unit directions, evaluate the
 squared L2 distance between the Gaussian-smoothed 1-D projections in closed
 form (plain 1-D Gaussian algebra, never the profile function), and average
-over directions.  Directions come from a counter-based Philox stream so runs
-are reproducible across platforms and thread counts.
+over directions.  Directions come from a counter-based Philox stream and no
+value depends on the thread count, so runs are reproducible on any platform.
 """
 
 import math
@@ -28,6 +28,8 @@ def sample_directions(num_directions, dim, seed):
         raise ValueError(f"num_directions must be >= 1, got {num_directions}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.Philox(seed))
     v = rng.standard_normal((num_directions, dim))
     v /= np.linalg.norm(v, axis=1, keepdims=True)

@@ -58,6 +58,11 @@ def validate_config(config):
         raise ValueError(f"epochs must be >= 0, got {config.epochs}")
     if config.batch_size < 2:
         raise ValueError(f"batch_size must be >= 2, got {config.batch_size}")
+    if config.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {config.seed}")
+    for name in ("encoder_hidden", "decoder_hidden"):
+        if min(getattr(config, name), default=1) < 1:
+            raise ValueError(f"{name} must hold widths >= 1, got {getattr(config, name)!r}")
     if config.objective == "cwae" and config.phi_mode != PhiMode.ASYMPTOTIC.value:
         raise ValueError(
             f"only the asymptotic phi mode has a closed-form derivative; got {config.phi_mode!r}"

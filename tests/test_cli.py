@@ -219,6 +219,14 @@ class TestOracleValidate:
         assert code == 2
         assert "num_directions" in err
 
+    def test_negative_seed_is_a_usage_error(self, capsys, sample_csv):
+        path, _ = sample_csv
+        code, _, err = run_cli(
+            capsys, "oracle-validate", str(path), "--directions", "10", "--seed", "-1"
+        )
+        assert code == 2
+        assert "seed" in err
+
 
 class TestNormality:
     def test_matches_library_exactly(self, capsys, sample_csv):
@@ -287,6 +295,15 @@ class TestTrain:
         assert code == 2
         assert "latent_dim" in err
 
+    def test_negative_seed_is_a_usage_error(self, rng, tmp_path, capsys):
+        # the seed is checked by name before the train/validation split uses it
+        data_path, config_path = self.write_inputs(rng, tmp_path)
+        code, _, err = run_cli(
+            capsys, "train", str(data_path), "--config", str(config_path),
+            "--out", str(tmp_path / "run"), "--seed", "-1",
+        )
+        assert code == 2
+        assert "seed" in err
 
     def test_final_lines_equal_the_last_curves_row(self, rng, tmp_path, capsys):
         data_path, config_path = self.write_inputs(rng, tmp_path, epochs=3)

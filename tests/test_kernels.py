@@ -1,6 +1,9 @@
 """Tests of the pairwise and Monte Carlo kernels against direct formulas."""
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -177,3 +180,96 @@ class TestMcKernels:
             2.0 * math.sqrt(math.pi * (1.0 + g))
         ) - 2.0 * cross
         np.testing.assert_allclose(_vectorized.mc_normal_values(px, g), prior, rtol=1e-12)
+
+
+class TestMcChunkThreads:
+    # n = 64 puts 1024 directions in a chunk: three full chunks and 17 more
+    WIDTH = 1024
+    NDIR = 3 * 1024 + 17
+
+    def one_chunk_calls(self, fn, *arrays):
+        return np.concatenate([
+            fn(*(a[lo:lo + self.WIDTH] for a in arrays))
+            for lo in range(0, self.NDIR, self.WIDTH)
+        ])
+
+    @pytest.mark.parametrize("k", [64, 40])
+    def test_pair_values_equal_one_chunk_calls(self, rng, k):
+        px = rng.standard_normal((self.NDIR, 64))
+        py = rng.standard_normal((self.NDIR, k)) * 1.3 + 0.2
+        whole = _vectorized.mc_pair_values(px, py, 0.35)
+        chunks = self.one_chunk_calls(lambda a, b: _vectorized.mc_pair_values(a, b, 0.35), px, py)
+        assert np.all(whole == chunks)
+
+    def test_normal_values_equal_one_chunk_calls(self, rng):
+        px = rng.standard_normal((self.NDIR, 64)) + 0.1
+        whole = _vectorized.mc_normal_values(px, 0.35)
+        chunks = self.one_chunk_calls(lambda a: _vectorized.mc_normal_values(a, 0.35), px)
+        assert np.all(whole == chunks)
+
+    @pytest.mark.parametrize("target", ["sample", "normal"])
+    def test_error_in_a_chunk_reaches_the_caller(self, rng, monkeypatch, target):
+        px = rng.standard_normal((self.NDIR, 64))
+        real = _vectorized._mc_self_sums
+
+        def failing(a, q, buf):
+            if a[0, 0] == px[self.WIDTH, 0]:  # the self-sum of px's second chunk
+                raise FloatingPointError("second chunk")
+            return real(a, q, buf)
+
+        monkeypatch.setattr(_vectorized, "_mc_self_sums", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="second chunk"):
+            if target == "sample":
+                _vectorized.mc_pair_values(px, px + 0.5, 0.35)
+            else:
+                _vectorized.mc_normal_values(px, 0.35)
+        assert threading.active_count() == before
+
+    def test_threads_never_outnumber_cpus(self, rng, monkeypatch):
+        started = []
+        seen = []
+        real_thread = threading.Thread
+        real_sums = _vectorized._mc_self_sums
+
+        def counting_thread(*args, **kwargs):
+            started.append(1)
+            return real_thread(*args, **kwargs)
+
+        def watching(a, q, buf):
+            seen.append(threading.active_count())
+            return real_sums(a, q, buf)
+
+        monkeypatch.setattr(threading, "Thread", counting_thread)
+        monkeypatch.setattr(_vectorized, "_mc_self_sums", watching)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        before = threading.active_count()
+        _vectorized.mc_normal_values(rng.standard_normal((self.NDIR, 64)), 0.35)
+        assert len(started) == min(cpus, 4) - 1
+        assert max(seen) <= before + cpus - 1
+        assert threading.active_count() == before
+
+    def test_one_chunk_starts_no_thread(self, rng, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-chunk call started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        px = rng.standard_normal((self.WIDTH, 64))
+        _vectorized.mc_pair_values(px, px + 0.5, 0.35)
+        _vectorized.mc_normal_values(px, 0.35)
+        assert l2_smoothed_1d(px[0], px[1], 0.35) > 0.0
+
+    def test_each_chunk_is_taken_once_under_fast_switching(self, monkeypatch):
+        # eight threads on fewer cores, switching every microsecond: every
+        # chunk start is handed out exactly once
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        ran = []
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _vectorized._each_chunk(ran.append, 6000, 3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran) == list(range(0, 6000, 3))
+        assert threading.active_count() == before

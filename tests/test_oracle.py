@@ -84,6 +84,10 @@ class TestDirections:
         with pytest.raises(ValueError):
             sample_directions(10, 0, seed=1)
 
+    def test_rejects_negative_seed_by_name(self):
+        with pytest.raises(ValueError, match="seed"):
+            sample_directions(10, 5, seed=-1)
+
 
 class TestNormalEstimator:
     def test_point_mass_is_exact_by_symmetry(self):

@@ -279,6 +279,9 @@ NAMED_REJECTIONS = [
     ("cw_weight", math.nan),
     ("cw_weight", -math.inf),
     ("grad_clip_norm", math.nan),
+    ("seed", -1),
+    ("encoder_hidden", (0,)),
+    ("decoder_hidden", (8, -2)),
 ]
 
 
