@@ -3,9 +3,10 @@
 Each branch of the profile 1F1(1/2; D/2; -s) (see :mod:`cramerwold.phi`) is
 written once here.  Exact mode evaluates the Kummer transform
 ``exp(-s) * 1F1((D-1)/2; D/2; s)`` in two branches: its all-positive series
-for s <= 40 or s < D, and a large-argument expansion for s >= max(D, 40).
-Against mpmath's ``hyp1f1`` at 40 digits the result is within 5e-15 relative
-up to D = 784 and 1.2e-14 at D = 3072.  The pairwise sums work on
+for s <= 40 or s < D, and a large-argument expansion for s >= max(D, 40),
+a polynomial in 1/s of a degree fixed per D.  Against mpmath's ``hyp1f1`` at
+40 digits the series is within 4.7e-15 relative up to D = 784 and 1.1e-14 at
+D = 3072, the expansion within 1e-15 at every D.  The pairwise sums work on
 cache-sized chunks of the squared-distance matrix, a self-sum on square tiles
 of its upper triangle; the Monte Carlo evaluators run NumPy's SIMD ``exp``
 over contiguous (points, directions) strips, in direction chunks shared by
@@ -13,6 +14,7 @@ threads on every CPU the process may use; no value depends on its thread.
 """
 
 import functools
+import itertools
 import math
 import os
 import threading
@@ -34,8 +36,8 @@ _RESCALE = math.exp(-_RESCALE_LOG)
 # intermediates stay cache-resident: measured on the target host this is both
 # faster in absolute terms at large n and keeps the time-vs-n scaling cleanly
 # quadratic (doubling ratio ~3.3 instead of ~7 with un-blocked Gram matrices).
-# 16k elements leaves room for the half-dozen temporaries of the masked
-# large-argument expansion loop without spilling out of L2.
+# 16k float64 elements (128 KiB) leave room in L2 for the chunk's squared
+# distances, its profile values and the few temporaries of a profile branch.
 _CHUNK_ELEMS = 1 << 14
 # Side of the square tiles a self-sum walks, so each tile is one chunk.
 _TILE = math.isqrt(_CHUNK_ELEMS)
@@ -74,28 +76,29 @@ def _phi_series_vec(dim, s):
     return np.multiply(total, np.exp(scaled, out=scaled), out=total)
 
 
+@functools.lru_cache(maxsize=None)
+def _expansion_coeffs(dim):
+    # The terms (1/2)_k (3/2 - dim/2)_k / (k! s0^k) at the smallest s served,
+    # s0 = max(dim, 40), up to the first that stops shrinking or falls under
+    # 1e-17 of the sum.  The term ratio |(k+1/2)(k+3/2-dim/2)| / ((k+1) s) falls
+    # as s grows, so that degree serves every s >= s0.  Odd dims end early.
+    # Scaled by s0^-k they stay under 1, where (1/2)_k (3/2 - dim/2)_k / k!
+    # alone would overflow from dim ~ 1e6.
+    s0 = max(dim, SERIES_SWITCH)
+    terms = [1.0]
+    for k in itertools.count():
+        terms.append(terms[-1] * (0.5 + k) * (1.5 - 0.5 * dim + k) / ((k + 1.0) * s0))
+        if not 1e-17 * abs(sum(terms)) < abs(terms[-1]) < abs(terms[-2]):
+            return tuple(terms)
+
+
 def _phi_expansion_vec(dim, s):
-    # Large-argument expansion of exp(-s) * 1F1((dim-1)/2; dim/2; s):
-    #   Gamma(dim/2) / Gamma((dim-1)/2) * s^(-1/2)
-    #     * sum_k (1/2)_k (3/2 - dim/2)_k / (k! * s^k),
-    # truncated per element at its smallest term.  The dropped exponentially
-    # small branch is below 1e-17 relative for every s this path serves.
-    # Guarded by s >= max(dim, 40): there the term ratio stays under ~1/4,
-    # so the sum reaches machine accuracy without intermediate growth
-    # (which for s < dim would amplify rounding).
-    b = 0.5 * dim
-    term = np.ones_like(s)
-    total = np.ones_like(s)
-    active = np.ones(s.shape, dtype=bool)
-    for k in range(80):
-        nxt = term * (0.5 + k) * (1.5 - b + k) / ((k + 1.0) * s)
-        stop = (np.abs(nxt) >= np.abs(term)) | (np.abs(nxt) <= 1e-17 * np.abs(total))
-        total = np.where(active, total + nxt, total)
-        term = np.where(active & ~stop, nxt, term)
-        active &= ~stop
-        if not active.any():
-            break
-    return _gamma_ratio(dim) / np.sqrt(s) * total
+    # Large-argument expansion of exp(-s) * 1F1((dim-1)/2; dim/2; s),
+    #   Gamma(dim/2) / Gamma((dim-1)/2) * s^(-1/2) * sum_k c_k (s0/s)^k,
+    # guarded by s >= s0 = max(dim, 40): there the term ratio stays under 2/3
+    # and the dropped exponentially small part under 1e-17 relative.
+    s0 = max(dim, SERIES_SWITCH)
+    return _gamma_ratio(dim) / np.sqrt(s) * _horner(s0 / s, _expansion_coeffs(dim))
 
 
 def _gamma_ratio(dim):

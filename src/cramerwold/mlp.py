@@ -40,6 +40,8 @@ def params_from_flat(flat, encoder_shapes, decoder_shapes, output_activation="id
     Each stack lists its layers' ``(fan_in, fan_out)``; ``flat`` is a 1-D
     contiguous float64 array holding exactly their parameters.
     """
+    if output_activation not in ("identity", "sigmoid"):
+        raise ValueError(f"unknown output activation {output_activation!r}")
     if flat.dtype != np.float64 or flat.ndim != 1 or not flat.flags.c_contiguous:
         raise ValueError("flat must be a 1-D contiguous float64 array")
     stacks = []
@@ -57,8 +59,6 @@ def params_from_flat(flat, encoder_shapes, decoder_shapes, output_activation="id
 
 
 def init_mlp(input_dim, latent_dim, encoder_hidden, decoder_hidden, output_activation, rng):
-    if output_activation not in ("identity", "sigmoid"):
-        raise ValueError(f"unknown output activation {output_activation!r}")
     if input_dim < 1 or latent_dim < 1:
         raise ValueError("input_dim and latent_dim must be positive")
     enc = [input_dim, *encoder_hidden, latent_dim]

@@ -42,7 +42,6 @@ class TrainConfig:
     encoder_hidden: tuple = (200, 200, 200)
     decoder_hidden: tuple = (200, 200, 200)
     output_activation: str = "identity"
-    phi_mode: str = "asymptotic"
     eps_log: float = 1e-12
     cw_weight: float = 1.0
     grad_clip_norm: float = 0.0
@@ -63,10 +62,6 @@ def validate_config(config):
     for name in ("encoder_hidden", "decoder_hidden"):
         if min(getattr(config, name), default=1) < 1:
             raise ValueError(f"{name} must hold widths >= 1, got {getattr(config, name)!r}")
-    if config.objective == "cwae" and config.phi_mode != PhiMode.ASYMPTOTIC.value:
-        raise ValueError(
-            f"only the asymptotic phi mode has a closed-form derivative; got {config.phi_mode!r}"
-        )
     if config.output_activation not in ("identity", "sigmoid"):
         raise ValueError(f"unknown output activation {config.output_activation!r}")
     for name in ("learning_rate", "eps_log", "adam_epsilon"):

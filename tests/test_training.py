@@ -301,7 +301,6 @@ class TestConfigValidation:
             {"latent_dim": 1},
             {"batch_size": 1},
             {"epochs": -1},
-            {"phi_mode": "exact"},
             {"output_activation": "tanh"},
             {"learning_rate": 0.0},
             {"eps_log": 0.0},
@@ -318,9 +317,6 @@ class TestConfigValidation:
         # a bad value is a config error, not a run that diverges at step 1 or 2
         with pytest.raises(ValueError, match=f"^{field} must"):
             validate_config(self.good(**{field: value}))
-
-    def test_plain_objective_allows_other_phi_modes(self):
-        validate_config(self.good(objective="plain_ae", phi_mode="exact"))
 
 
 class TestConfigText:
@@ -356,9 +352,11 @@ class TestConfigText:
             config_from_text(text)
 
     def test_unknown_key_names_line(self):
-        text = "latent_dim=2\nbatch_size=4\nepochs=1\nlearningrate=0.1\n"
-        with pytest.raises(ValueError, match="line 4"):
-            config_from_text(text)
+        # the latent term is always asymptotic, so phi_mode names no field
+        for key, value in (("learningrate", "0.1"), ("phi_mode", "asymptotic")):
+            text = f"latent_dim=2\nbatch_size=4\nepochs=1\n{key}={value}\n"
+            with pytest.raises(ValueError, match=f"line 4: unknown config field '{key}'"):
+                config_from_text(text)
 
     def test_bad_value_names_field(self):
         text = "latent_dim=two\nbatch_size=4\nepochs=1\n"
@@ -417,6 +415,17 @@ class TestCheckpoint:
         assert cfg_text == config_to_text(cfg)
         assert np.array_equal(loaded.flat, params.flat)
         assert [w.shape for w, _ in loaded.decoder] == [w.shape for w, _ in params.decoder]
+
+    def test_unknown_activation_is_rejected(self, rng, tmp_path):
+        params = mlp.init_mlp(4, 2, (6,), (6,), "sigmoid", rng)
+        cfg = TrainConfig(latent_dim=2, batch_size=8, epochs=1, output_activation="sigmoid")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg)
+        blob = path.read_bytes()
+        assert blob.endswith(b"sigmoid")
+        path.write_bytes(blob[:-1] + b"x")
+        with pytest.raises(ValueError, match="'sigmoix'"):
+            load_checkpoint(path)
 
     def test_bad_magic_is_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
