@@ -301,6 +301,7 @@ class TestConfigValidation:
             {"latent_dim": 1},
             {"batch_size": 1},
             {"epochs": -1},
+            {"beta2": -0.1},
             {"output_activation": "tanh"},
             {"learning_rate": 0.0},
             {"eps_log": 0.0},
