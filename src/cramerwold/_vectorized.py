@@ -6,10 +6,11 @@ written once here.  Exact mode evaluates the Kummer transform
 for s <= 40 or s < D, and a large-argument expansion for s >= max(D, 40),
 a polynomial in 1/s of a degree fixed per D.  Against mpmath's ``hyp1f1`` at
 40 digits the series is within 4.7e-15 relative up to D = 784 and 1.1e-14 at
-D = 3072, the expansion within 1e-15 at every D.  The pairwise sums work on
-cache-sized chunks of the squared-distance matrix, a self-sum on square tiles
-of its upper triangle; the Monte Carlo evaluators run NumPy's SIMD ``exp``
-over contiguous (points, directions) strips, in direction chunks shared by
+D = 3072, the expansion within 1e-15 at every D.  Every pairwise kernel (the
+profile sums, the latent gradient and Mardia's Gram route) walks one tile
+size over its pair matrix, a symmetric one only the tiles on and above the
+diagonal; the Monte Carlo evaluators run NumPy's SIMD ``exp`` over
+contiguous (points, directions) strips, in direction chunks shared by
 threads on every CPU the process may use; no value depends on its thread.
 """
 
@@ -32,15 +33,13 @@ SERIES_SWITCH = 40.0  # the series serves s <= 40 or s < D, the expansion the re
 _RESCALE_LOG = 460.0
 _RESCALE = math.exp(-_RESCALE_LOG)
 
-# Pairwise work per chunk for the closed-form sums.  Sized so a chunk's
-# intermediates stay cache-resident: measured on the target host this is both
-# faster in absolute terms at large n and keeps the time-vs-n scaling cleanly
-# quadratic (doubling ratio ~3.3 instead of ~7 with un-blocked Gram matrices).
-# 16k float64 elements (128 KiB) leave room in L2 for the chunk's squared
-# distances, its profile values and the few temporaries of a profile branch.
-_CHUNK_ELEMS = 1 << 14
-# Side of the square tiles a self-sum walks, so each tile is one chunk.
-_TILE = math.isqrt(_CHUNK_ELEMS)
+# Side of the square tiles every pairwise kernel walks.  A tile's 16k float64
+# elements (128 KiB) leave room in L2 for its squared distances, its profile
+# values and the few temporaries of a profile branch: measured on a 2-CPU Xeon
+# (2 MiB L2) this is both faster in absolute terms at large n and keeps the
+# time-vs-n scaling cleanly quadratic (doubling ratio ~3.3 instead of ~7 with
+# un-blocked Gram matrices).
+_TILE = 128
 # Elements per Monte-Carlo strip (points x directions): 512 KiB of float64,
 # which stays in L2 while a strip goes through its subtract, square, scale,
 # exp and sum passes.  n = 64 gets 1024 directions per chunk; measured at
@@ -172,6 +171,14 @@ def _pair_d2_chunk(xc, y, nxc, ny):
     return d2
 
 
+def _tiles(n, k, upper=False):
+    """Row and column slices of the _TILE x _TILE blocks of an n x k pair
+    matrix; with ``upper``, only the blocks on and above the diagonal."""
+    for lo in range(0, n, _TILE):
+        for col in range(lo if upper else 0, k, _TILE):
+            yield slice(lo, lo + _TILE), slice(col, col + _TILE)
+
+
 @functools.lru_cache(maxsize=None)
 def _strict_upper(side):
     """Flat indices of the pairs i < j in a side x side tile, built once per side."""
@@ -181,43 +188,29 @@ def _strict_upper(side):
     return flat
 
 
-def _sum_phi_self(x, scale, mode):
-    # phi is even in the pair and phi(0) = 1 exactly in every mode, so a
-    # self-sum is n plus twice the sum over the pairs i < j.  Those pairs are
-    # walked in square tiles on and above the diagonal; a diagonal tile takes
-    # only its strict upper triangle.
-    n, dim = x.shape
-    nx = np.einsum("ij,ij->i", x, x)
-    parts = []
-    for lo in range(0, n, _TILE):
-        xc, nc = x[lo:lo + _TILE], nx[lo:lo + _TILE]
-        d2 = _pair_d2_chunk(xc, xc, nc, nc)
-        tri = d2.ravel()[_strict_upper(xc.shape[0])]
-        parts.append(float(phi_values(dim, tri * scale, mode).sum()))
-        for col in range(lo + _TILE, n, _TILE):
-            d2 = _pair_d2_chunk(xc, x[col:col + _TILE], nc, nx[col:col + _TILE])
-            parts.append(float(phi_values(dim, d2 * scale, mode).sum()))
-    return n + 2.0 * math.fsum(parts)
-
-
 def sum_phi_cross(x, y, scale, mode):
     n, dim = x.shape
     k = y.shape[0]
+    # phi is even in the pair and phi(0) = 1 exactly in every mode, so a
+    # self-sum is n plus twice the sum over the pairs i < j: it walks the
+    # tiles on and above the diagonal, and a diagonal tile takes only its
+    # strict upper triangle.
+    same = y is x or (x.shape == y.shape and np.array_equal(x, y))
     # Pair distances do not depend on the origin; centring the samples on
     # their joint mean keeps the Gram trick from cancelling large offsets.
-    if y is x or (x.shape == y.shape and np.array_equal(x, y)):
-        return _sum_phi_self(x - x.sum(axis=0) / n, scale, mode)
     centre = (x.sum(axis=0) + y.sum(axis=0)) / (n + k)
     x = x - centre
-    y = y - centre
+    y = x if same else y - centre
     nx = np.einsum("ij,ij->i", x, x)
-    ny = np.einsum("ij,ij->i", y, y)
-    rows = max(1, min(n, _CHUNK_ELEMS // max(k, 1)))
+    ny = nx if same else np.einsum("ij,ij->i", y, y)
     parts = []
-    for lo in range(0, n, rows):
-        d2 = _pair_d2_chunk(x[lo:lo + rows], y, nx[lo:lo + rows], ny)
+    for rows, cols in _tiles(n, k, upper=same):
+        d2 = _pair_d2_chunk(x[rows], y[cols], nx[rows], ny[cols])
+        if same and rows == cols:
+            d2 = d2.ravel()[_strict_upper(d2.shape[0])]
         parts.append(float(phi_values(dim, d2 * scale, mode).sum()))
-    return math.fsum(parts)
+    total = math.fsum(parts)
+    return n + 2.0 * total if same else total
 
 
 def sum_phi_norms(x, scale, mode):
@@ -235,13 +228,12 @@ def cw_normal_asym_grad(z, gamma):
     # Gram trick and w @ z from cancelling a large common offset.
     zcen = z - z.sum(axis=0) / n
     nzcen = np.einsum("ij,ij->i", zcen, zcen)
-    rows = max(1, min(n, _CHUNK_ELEMS // max(n, 1)))
-    pair = np.empty_like(z)
-    for lo in range(0, n, rows):
-        zc = zcen[lo:lo + rows]
-        d2 = _pair_d2_chunk(zc, zcen, nzcen[lo:lo + rows], nzcen)
+    pair = np.zeros_like(z)
+    for rows, cols in _tiles(n, n):
+        zc = zcen[rows]
+        d2 = _pair_d2_chunk(zc, zcen[cols], nzcen[rows], nzcen[cols])
         w = phi_asymptotic_derivative_values(dim, d2 / (4.0 * gamma))
-        pair[lo:lo + rows] = w.sum(axis=1)[:, None] * zc - w @ zcen
+        pair[rows] += w.sum(axis=1)[:, None] * zc - w @ zcen[cols]
     nz = np.einsum("ij,ij->i", z, z)
     wn = phi_asymptotic_derivative_values(dim, nz / (2.0 + 4.0 * gamma))
     return c_pair * pair + c_norm * wn[:, None] * z
@@ -258,10 +250,11 @@ def mardia_sums(x):
             t = (x * x[:, a:a + 1]).T @ x
             cube_parts.append(float((t * t).sum()))
     else:
-        rows = max(1, min(n, _CHUNK_ELEMS // n))
-        for lo in range(0, n, rows):
-            g = x[lo:lo + rows] @ x.T
-            cube_parts.append(float((g * g * g).sum()))
+        # The Gram matrix is symmetric: each tile above the diagonal counts twice.
+        for rows, cols in _tiles(n, n, upper=True):
+            g = x[rows] @ x[cols].T
+            part = float((g * g * g).sum())
+            cube_parts.append(part if rows == cols else 2.0 * part)
     nx = np.einsum("ij,ij->i", x, x)
     return math.fsum(cube_parts), float((nx * nx).sum())
 

@@ -69,6 +69,23 @@ def _check_gamma(gamma):
     return gamma
 
 
+def _radial_means(a, b):
+    """The flat means of two RadialGaussians, each checked finite with a finite
+    variance scale >= 0, and both of one shape."""
+    means = []
+    for name, g in (("a", a), ("b", b)):
+        if not math.isfinite(g.variance_scale) or g.variance_scale < 0.0:
+            raise ValueError(f"{name}.variance_scale must be finite and >= 0, "
+                             f"got {g.variance_scale!r}")
+        m = np.asarray(g.mean, dtype=np.float64).ravel()
+        if not np.isfinite(m).all():
+            raise ValueError(f"{name}.mean contains non-finite values")
+        means.append(m)
+    if means[0].shape != means[1].shape:
+        raise ValueError(f"mean dimension mismatch: {means[0].shape[0]} vs {means[1].shape[0]}")
+    return means
+
+
 def cw2_sample_sample(x, y, gamma=None, mode=None):
     """Squared Cramer-Wold distance between two samples with common dimension.
 
@@ -90,17 +107,14 @@ def cw2_sample_sample(x, y, gamma=None, mode=None):
     a, b = x, y
     if (k, y.tobytes()) < (n, x.tobytes()):
         a, b = y, x
-    saa = kernels.sum_phi_cross(a, a, 1.0 / (4.0 * gamma), resolved)
-    sbb = kernels.sum_phi_cross(b, b, 1.0 / (4.0 * gamma), resolved)
-    sab = kernels.sum_phi_cross(a, b, 1.0 / (4.0 * gamma), resolved)
-    na = a.shape[0]
-    nb = b.shape[0]
-    if na == nb:
-        pre = (saa + sbb - 2.0 * sab) / (2.0 * na * na * math.sqrt(math.pi * gamma))
-    else:
-        pre = (saa / (na * na) + sbb / (nb * nb) - 2.0 * (sab / (na * nb))) / (
-            2.0 * math.sqrt(math.pi * gamma)
-        )
+    scale = 1.0 / (4.0 * gamma)
+    saa = kernels.sum_phi_cross(a, a, scale, resolved)
+    sbb = kernels.sum_phi_cross(b, b, scale, resolved)
+    sab = kernels.sum_phi_cross(a, b, scale, resolved)
+    na, nb = a.shape[0], b.shape[0]
+    pre = (saa / (na * na) + sbb / (nb * nb) - 2.0 * (sab / (na * nb))) / (
+        2.0 * math.sqrt(math.pi * gamma)
+    )
     return CwReport(
         squared_distance=max(pre, 0.0),
         pre_clamp=pre,
@@ -150,13 +164,7 @@ def cw_scalar_product_radial(a, b, gamma, mode=None):
     With alpha = beta = 0 this is exactly the pairwise term of the
     sample-sample closed form.
     """
-    for name, g in (("a", a), ("b", b)):
-        if g.variance_scale < 0.0 or not math.isfinite(g.variance_scale):
-            raise ValueError(f"{name}.variance_scale must be finite and >= 0")
-    ma = np.asarray(a.mean, dtype=np.float64).ravel()
-    mb = np.asarray(b.mean, dtype=np.float64).ravel()
-    if ma.shape != mb.shape:
-        raise ValueError(f"mean dimension mismatch: {ma.shape[0]} vs {mb.shape[0]}")
+    ma, mb = _radial_means(a, b)
     dim = ma.shape[0]
     gamma = _check_gamma(gamma)
     resolved = resolve_mode(dim, mode)

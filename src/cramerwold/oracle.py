@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .distance import RadialGaussian, _as_sample, _check_gamma, silverman_gamma
+from .distance import RadialGaussian, _as_sample, _check_gamma, _radial_means, silverman_gamma
 
 
 class McEstimate(NamedTuple):
@@ -106,10 +106,7 @@ def radial_product_monte_carlo(a: RadialGaussian, b: RadialGaussian, gamma, num_
     if num_directions < 2:
         raise ValueError(f"num_directions must be >= 2, got {num_directions}")
     gamma = _check_gamma(gamma)
-    ma = np.asarray(a.mean, dtype=np.float64).ravel()
-    mb = np.asarray(b.mean, dtype=np.float64).ravel()
-    if ma.shape != mb.shape:
-        raise ValueError(f"mean dimension mismatch: {ma.shape[0]} vs {mb.shape[0]}")
+    ma, mb = _radial_means(a, b)
     t = a.variance_scale + b.variance_scale + 2.0 * gamma
     v = sample_directions(num_directions, ma.shape[0], seed)
     proj = v @ (ma - mb)

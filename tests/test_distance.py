@@ -241,6 +241,25 @@ class TestRadialScalarProduct:
         with pytest.raises(ValueError):
             cw_scalar_product_radial(good, bad, 0.5)
 
+    @pytest.mark.parametrize("field, a_var, b_var, a_shift, b_shift, b_dim", [
+        ("b.variance_scale", 0.1, -0.1, 0.0, 0.0, 5),
+        ("b.variance_scale", 0.1, -1.5, 0.0, 0.0, 5),
+        ("a.variance_scale", math.nan, 0.1, 0.0, 0.0, 5),
+        ("a.variance_scale", math.inf, 0.1, 0.0, 0.0, 5),
+        ("b.mean", 0.1, 0.1, 0.0, math.nan, 5),
+        ("a.mean", 0.1, 0.1, -math.inf, 0.0, 5),
+        ("mean dimension mismatch: 5 vs 6", 0.1, 0.1, 0.0, 0.0, 6),
+    ])
+    def test_closed_form_and_oracle_reject_a_bad_field_by_name(
+        self, rng, field, a_var, b_var, a_shift, b_shift, b_dim
+    ):
+        a = RadialGaussian(mean=rng.standard_normal(5) + a_shift, variance_scale=a_var)
+        b = RadialGaussian(mean=rng.standard_normal(b_dim) + b_shift, variance_scale=b_var)
+        with pytest.raises(ValueError, match=field):
+            cw_scalar_product_radial(a, b, 0.5)
+        with pytest.raises(ValueError, match=field):
+            radial_product_monte_carlo(a, b, 0.5, num_directions=16, seed=0)
+
 
 class TestSelfConsistency:
     def test_normal_sample_matches_paired_route(self):

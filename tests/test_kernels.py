@@ -44,13 +44,19 @@ class TestSelfSums:
     @pytest.mark.parametrize("mode, dim", MODES, ids=MODE_IDS)
     @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 259])
     def test_tile_edges_match_brute_force(self, rng, mode, dim, n):
-        # self-sums walk 128 x 128 tiles: one point, one partial tile, one
-        # exact tile, a tile plus one row, and a ragged third tile
+        # pair sums walk 128 x 128 tiles: one point, one partial tile, one
+        # exact tile, a tile plus one row, and a ragged third tile, in a
+        # self-sum and on either side of a cross sum
         x = rng.standard_normal((n, dim)) * 1.5
         d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
         np.fill_diagonal(d2, 0.0)
         brute = math.fsum(_vectorized.phi_values(dim, d2.ravel() * 0.3125, mode))
         assert kernels.sum_phi_cross(x, x, 0.3125, mode) == pytest.approx(brute, rel=1e-12)
+        for k in (1, 127, 128, 129, 259):
+            y = rng.standard_normal((k, dim)) + 0.5
+            d2 = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+            brute = math.fsum(_vectorized.phi_values(dim, d2.ravel() * 0.3125, mode))
+            assert kernels.sum_phi_cross(x, y, 0.3125, mode) == pytest.approx(brute, rel=1e-12)
 
     @pytest.mark.parametrize("mode", [PhiMode.EXACT_SERIES, PhiMode.ASYMPTOTIC],
                              ids=["PhiMode.EXACT_SERIES", "PhiMode.ASYMPTOTIC"])
@@ -109,20 +115,22 @@ class TestGradientKernel:
     @pytest.mark.parametrize("offset", [1e3, 1e5])
     def test_large_offset_matches_exact_differences(self, rng, offset):
         # brute force over exact differences z_i - z_j: the pair term must not
-        # lose digits to a common offset (uncentred codes read 1.4e-6 at 1e5)
-        z = rng.standard_normal((128, 8)) + offset
-        gamma = 0.3
-        n, dim = z.shape
-        dphi = _vectorized.phi_asymptotic_derivative_values
-        diff = z[:, None, :] - z[None, :, :]
-        w = dphi(dim, (diff * diff).sum(axis=2) / (4.0 * gamma))
-        wn = dphi(dim, (z * z).sum(axis=1) / (2.0 + 4.0 * gamma))
-        c1 = 1.0 / (2.0 * n * n * math.sqrt(math.pi))
-        c_norm = -c1 * (2.0 * n / math.sqrt(gamma + 0.5)) / (1.0 + 2.0 * gamma)
-        pair = (w[:, :, None] * diff).sum(axis=1)
-        brute = c1 / (gamma * math.sqrt(gamma)) * pair + c_norm * wn[:, None] * z
-        grad = _vectorized.cw_normal_asym_grad(z, gamma)
-        assert np.abs(grad - brute).max() <= 1e-10 * np.abs(brute).max()  # measured 6e-16
+        # lose digits to a common offset (uncentred codes read 1.4e-6 at 1e5);
+        # 128 rows are one tile, 259 a ragged 3 x 3 walk
+        for n in (128, 259):
+            z = rng.standard_normal((n, 8)) + offset
+            gamma = 0.3
+            dim = z.shape[1]
+            dphi = _vectorized.phi_asymptotic_derivative_values
+            diff = z[:, None, :] - z[None, :, :]
+            w = dphi(dim, (diff * diff).sum(axis=2) / (4.0 * gamma))
+            wn = dphi(dim, (z * z).sum(axis=1) / (2.0 + 4.0 * gamma))
+            c1 = 1.0 / (2.0 * n * n * math.sqrt(math.pi))
+            c_norm = -c1 * (2.0 * n / math.sqrt(gamma + 0.5)) / (1.0 + 2.0 * gamma)
+            pair = (w[:, :, None] * diff).sum(axis=1)
+            brute = c1 / (gamma * math.sqrt(gamma)) * pair + c_norm * wn[:, None] * z
+            grad = _vectorized.cw_normal_asym_grad(z, gamma)
+            assert np.abs(grad - brute).max() <= 1e-10 * np.abs(brute).max()  # measured <= 1.1e-15
 
 
 class TestMcKernels:

@@ -76,8 +76,8 @@ def brute_force_cube_sum(x):
 class TestRoutes:
     """The cube sum takes the Gram route when n <= D^2, else the moment tensor."""
 
-    # (n, D) on each side of D^2 = n
-    SHAPES = [(25, 5), (26, 5), (40, 8), (150, 4)]
+    # (n, D) on each side of D^2 = n; (259, 20) spans 3 x 3 Gram tiles
+    SHAPES = [(25, 5), (26, 5), (40, 8), (150, 4), (259, 20)]
 
     @pytest.mark.parametrize("n, dim", SHAPES)
     def test_matches_brute_force_double_loop(self, rng, n, dim):

@@ -25,10 +25,14 @@ def sample(rows, dim):
     return st.tuples(unit, stretch).map(lambda us: us[0] * us[1])
 
 
+# Small samples, and sizes at the edges of the 128 x 128 pair tiles
+SIZES = st.one_of(st.integers(1, 8), st.sampled_from([127, 128, 129, 259]))
+
+
 @st.composite
 def sample_pair(draw, dims):
     dim = draw(st.sampled_from(dims))
-    n, k = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    n, k = draw(SIZES), draw(SIZES)
     return draw(sample(n, dim)), draw(sample(k, dim))
 
 
