@@ -6,12 +6,15 @@ written once here.  Exact mode evaluates the Kummer transform
 for s <= 40 or s < D, and a large-argument expansion for s >= max(D, 40),
 a polynomial in 1/s of a degree fixed per D.  Against mpmath's ``hyp1f1`` at
 40 digits the series is within 4.7e-15 relative up to D = 784 and 1.1e-14 at
-D = 3072, the expansion within 1e-15 at every D.  Every pairwise kernel (the
-profile sums, the latent gradient and Mardia's Gram route) walks one tile
-size over its pair matrix, a symmetric one only the tiles on and above the
-diagonal; the Monte Carlo evaluators run NumPy's SIMD ``exp`` over
-contiguous (points, directions) strips, in direction chunks shared by
-threads on every CPU the process may use; no value depends on its thread.
+D = 3072, the expansion within 1e-15 at every D; both two-branch profiles
+(exact, and the 2-D Bessel fit) pick their branch per value in one selector.
+Every pairwise kernel (the profile sums, the latent gradient and Mardia's
+Gram route) walks one tile size over its pair matrix, a symmetric one only
+the tiles on and above the diagonal; the profile sums and the gradient take
+their tiles of squared distances from one centred walk.  The Monte Carlo
+evaluators run NumPy's SIMD ``exp`` over contiguous (points, directions)
+strips, in direction chunks shared by threads on every CPU the process may
+use; no value depends on its thread.
 """
 
 import functools
@@ -110,13 +113,17 @@ def _gamma_ratio(dim):
 
 
 def _phi_exact_vec(dim, s):
+    return _two_branches(s, (s <= SERIES_SWITCH) | (s < dim),
+                         lambda t: _phi_series_vec(dim, t), lambda t: _phi_expansion_vec(dim, t))
+
+
+def _two_branches(s, first, f, g):
+    """f(s) where ``first`` holds and g(s) elsewhere; neither is called on no
+    values (the series sizes its loop by the largest s it is given)."""
     out = np.empty_like(s)
-    series = (s <= SERIES_SWITCH) | (s < dim)
-    if series.any():
-        out[series] = _phi_series_vec(dim, s[series])
-    tail = ~series
-    if tail.any():
-        out[tail] = _phi_expansion_vec(dim, s[tail])
+    for mask, branch in ((first, f), (~first, g)):
+        if mask.any():
+            out[mask] = branch(s[mask])
     return out
 
 
@@ -130,20 +137,12 @@ def _horner(x, coeffs):
 
 
 def _phi_bessel2_vec(s):
-    out = np.empty_like(s)
-    small = s <= 7.5
-    # Abramowitz-Stegun 9.8.1 with t = s/7.5
-    ss = s[small]
-    poly = _horner((ss / 7.5) ** 2, (1.0, 3.5156229, 3.0899424, 1.2067492, 0.2659732,
-                                     0.0360768, 0.0045813))
-    out[small] = np.exp(-0.5 * ss) * poly
-    # Abramowitz-Stegun 9.8.2
-    big = ~small
-    sb = s[big]
-    poly = _horner(7.5 / sb, (0.39894228, 0.01328592, 0.00225319, -0.00157565, 0.0091628,
-                              -0.02057706, 0.02635537, -0.01647633, 0.00392377))
-    out[big] = np.sqrt(2.0 / sb) * poly
-    return out
+    # Abramowitz-Stegun 9.8.1 in (s/7.5)^2 for s <= 7.5, 9.8.2 in 7.5/s above
+    small = (1.0, 3.5156229, 3.0899424, 1.2067492, 0.2659732, 0.0360768, 0.0045813)
+    big = (0.39894228, 0.01328592, 0.00225319, -0.00157565, 0.0091628, -0.02057706,
+           0.02635537, -0.01647633, 0.00392377)
+    return _two_branches(s, s <= 7.5, lambda t: np.exp(-0.5 * t) * _horner((t / 7.5) ** 2, small),
+                         lambda t: np.sqrt(2.0 / t) * _horner(7.5 / t, big))
 
 
 def phi_values(dim, s, mode):
@@ -179,6 +178,22 @@ def _tiles(n, k, upper=False):
             yield slice(lo, lo + _TILE), slice(col, col + _TILE)
 
 
+def _centred_tiles(x, y, upper=False):
+    """(rows, cols, x tile, y tile, squared distances) per block of _tiles(n, k,
+    upper), on samples centred on their joint mean so that the Gram trick cancels
+    no large common offset; with ``y is x`` each step is done once."""
+    n, k = x.shape[0], y.shape[0]
+    xsum = x.sum(axis=0)
+    centre = (xsum + (xsum if y is x else y.sum(axis=0))) / (n + k)
+    xc = x - centre
+    yc = xc if y is x else y - centre
+    nx = np.einsum("ij,ij->i", xc, xc)
+    ny = nx if y is x else np.einsum("ij,ij->i", yc, yc)
+    for rows, cols in _tiles(n, k, upper):
+        xt, yt = xc[rows], yc[cols]
+        yield rows, cols, xt, yt, _pair_d2_chunk(xt, yt, nx[rows], ny[cols])
+
+
 @functools.lru_cache(maxsize=None)
 def _strict_upper(side):
     """Flat indices of the pairs i < j in a side x side tile, built once per side."""
@@ -190,22 +205,13 @@ def _strict_upper(side):
 
 def sum_phi_cross(x, y, scale, mode):
     n, dim = x.shape
-    k = y.shape[0]
     # phi is even in the pair and phi(0) = 1 exactly in every mode, so a
     # self-sum is n plus twice the sum over the pairs i < j: it walks the
     # tiles on and above the diagonal, and a diagonal tile takes only its
     # strict upper triangle.
     same = y is x or (x.shape == y.shape and np.array_equal(x, y))
-    # Pair distances do not depend on the origin; centring the samples on
-    # their joint mean keeps the Gram trick from cancelling large offsets.
-    centre = (x.sum(axis=0) + y.sum(axis=0)) / (n + k)
-    x = x - centre
-    y = x if same else y - centre
-    nx = np.einsum("ij,ij->i", x, x)
-    ny = nx if same else np.einsum("ij,ij->i", y, y)
     parts = []
-    for rows, cols in _tiles(n, k, upper=same):
-        d2 = _pair_d2_chunk(x[rows], y[cols], nx[rows], ny[cols])
+    for rows, cols, _, _, d2 in _centred_tiles(x, x if same else y, upper=same):
         if same and rows == cols:
             d2 = d2.ravel()[_strict_upper(d2.shape[0])]
         parts.append(float(phi_values(dim, d2 * scale, mode).sum()))
@@ -224,16 +230,10 @@ def cw_normal_asym_grad(z, gamma):
     c1 = 1.0 / (2.0 * n * n * math.sqrt(math.pi))
     c_pair = c1 / (gamma * math.sqrt(gamma))
     c_norm = -c1 * (2.0 * n / math.sqrt(gamma + 0.5)) / (1.0 + 2.0 * gamma)
-    # The pair term does not depend on the origin; centred codes keep the
-    # Gram trick and w @ z from cancelling a large common offset.
-    zcen = z - z.sum(axis=0) / n
-    nzcen = np.einsum("ij,ij->i", zcen, zcen)
     pair = np.zeros_like(z)
-    for rows, cols in _tiles(n, n):
-        zc = zcen[rows]
-        d2 = _pair_d2_chunk(zc, zcen[cols], nzcen[rows], nzcen[cols])
+    for rows, _, zr, zc, d2 in _centred_tiles(z, z):
         w = phi_asymptotic_derivative_values(dim, d2 / (4.0 * gamma))
-        pair[rows] += w.sum(axis=1)[:, None] * zc - w @ zcen[cols]
+        pair[rows] += w.sum(axis=1)[:, None] * zr - w @ zc
     nz = np.einsum("ij,ij->i", z, z)
     wn = phi_asymptotic_derivative_values(dim, nz / (2.0 + 4.0 * gamma))
     return c_pair * pair + c_norm * wn[:, None] * z

@@ -1,6 +1,7 @@
 """Dataset containers, CSV / IDX readers, and synthetic generators."""
 
 import gzip
+import math
 import re
 import struct
 from dataclasses import dataclass
@@ -75,48 +76,38 @@ def save_csv(path, points):
     np.savetxt(path, points, fmt="%.17g", delimiter=",")
 
 
-_IDX_IMAGES = 0x00000803
-_IDX_LABELS = 0x00000801
+# IDX kind -> (big-endian magic, payload noun); the magic's low byte counts the dims.
+_IDX = {"image": (0x00000803, "pixel"), "label": (0x00000801, "label")}
 
 
-def _open_maybe_gzip(path):
+def _read_idx(path, kind):
+    """(dims, u8 payload) of a plain or gzipped IDX file of ``kind``.  The size
+    the dims declare is an exact integer, checked against the bytes present."""
+    magic, noun = _IDX[kind]
     with open(path, "rb") as fh:
-        head = fh.read(2)
-    if head == b"\x1f\x8b":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+        gzipped = fh.read(2) == b"\x1f\x8b"
+    with (gzip.open if gzipped else open)(path, "rb") as fh:
+        header = fh.read(4 + 4 * (magic & 0xFF))
+        if len(header) != 4 + 4 * (magic & 0xFF):
+            raise ValueError(f"{path}: truncated IDX header")
+        found, *dims = struct.unpack(f">{len(header) // 4}I", header)
+        if found != magic:
+            raise ValueError(f"{path}: bad IDX {kind} magic {found:#010x}")
+        raw = fh.read()
+    size = math.prod(dims)
+    if len(raw) < size:
+        raise ValueError(f"{path}: expected {size} {noun} bytes, found {len(raw)}")
+    return dims, np.frombuffer(raw, dtype=np.uint8, count=size)
 
 
 def load_idx_images(path):
     """IDX u8 image file -> (n, rows*cols) float64 scaled to [0, 1]."""
-    with _open_maybe_gzip(path) as fh:
-        header = fh.read(16)
-        if len(header) != 16:
-            raise ValueError(f"{path}: truncated IDX header")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != _IDX_IMAGES:
-            raise ValueError(f"{path}: bad IDX image magic {magic:#010x}")
-        raw = fh.read(count * rows * cols)
-    if len(raw) != count * rows * cols:
-        raise ValueError(
-            f"{path}: expected {count * rows * cols} pixel bytes, found {len(raw)}"
-        )
-    pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
-    return pixels.reshape(count, rows * cols)
+    (count, rows, cols), pixels = _read_idx(path, "image")
+    return (pixels.astype(np.float64) / 255.0).reshape(count, rows * cols)
 
 
 def load_idx_labels(path):
-    with _open_maybe_gzip(path) as fh:
-        header = fh.read(8)
-        if len(header) != 8:
-            raise ValueError(f"{path}: truncated IDX header")
-        magic, count = struct.unpack(">II", header)
-        if magic != _IDX_LABELS:
-            raise ValueError(f"{path}: bad IDX label magic {magic:#010x}")
-        raw = fh.read(count)
-    if len(raw) != count:
-        raise ValueError(f"{path}: expected {count} label bytes, found {len(raw)}")
-    return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    return _read_idx(path, "label")[1].astype(np.int64)
 
 
 def load_idx(images_path, labels_path=None):

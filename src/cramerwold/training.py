@@ -14,6 +14,7 @@ the log term and trains on reconstruction alone.
 import csv
 import io
 import math
+import os
 import struct
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -349,7 +350,9 @@ def save_checkpoint(path, params, config):
 
 
 def _read_exactly(fh, count, what):
-    data = fh.read(count)
+    # A size read from the file is checked against the bytes left before any read.
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    data = fh.read(count) if count <= left else b""
     if len(data) != count:
         raise ValueError(f"truncated checkpoint: expected {count} bytes for {what}")
     return data

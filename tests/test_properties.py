@@ -1,11 +1,18 @@
-"""Property tests of the sample-sample distance in every profile mode.
+"""Property tests of the closed-form distances in every profile mode, and of
+Mardia skewness.
 
-Each sample is a box of unit-scale points whose rows are stretched by their
-own factor between 0 and 50, so one sample holds near and far pairs: in exact
-mode the pair arguments s = |x - y|^2 / (4 gamma) fall both in the series
-branch (s <= 40 or s < D) and in the large-argument expansion
-(s >= max(D, 40)).
+Each sample of the swap and copy properties is a box of unit-scale points
+whose rows are stretched by their own factor between 0 and 50, so one sample
+holds near and far pairs: in exact mode the pair arguments
+s = |x - y|^2 / (4 gamma) fall both in the series branch (s <= 40 or s < D)
+and in the large-argument expansion (s >= max(D, 40)).
+
+The invariance properties draw samples on a dyadic grid (entries k/8 with
+|k| <= 64) of equal power-of-two sizes, and shifts in multiples of 1/8 up to
+1e7, so that every shift, centring and Gram product is exact.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cramerwold import cw2_sample_sample
+from cramerwold import cw2_sample_normal, cw2_sample_sample, mardia
 
 MODE_DIMS = {"exact": (2, 3, 5, 8, 20, 64), "asymptotic": (3, 5, 20, 64), "bessel2": (2,)}
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -52,3 +59,57 @@ def test_swapping_the_samples_keeps_every_bit(mode, data):
 def test_a_copy_is_at_distance_zero(mode, data):
     x, _ = data.draw(sample_pair(MODE_DIMS[mode]))
     assert cw2_sample_sample(x, x.copy(), mode=mode).pre_clamp == 0.0
+
+
+def dyadic(rows, dim):
+    # Seeded NumPy draws: hypothesis builds a large array element by element,
+    # and fills most of it with one value.
+    seeds = st.integers(0, 2**32 - 1)
+    return seeds.map(lambda seed: np.random.default_rng(seed).integers(-64, 65, (rows, dim)) / 8)
+
+
+POWERS_OF_TWO = st.sampled_from([1, 2, 4, 8, 16, 128, 256])
+
+
+def signed_permutation(data, dim):
+    perm = data.draw(st.permutations(range(dim)))
+    signs = data.draw(arrays(np.float64, dim, elements=st.sampled_from([-1.0, 1.0])))
+    return lambda a: a[:, perm] * signs
+
+
+@pytest.mark.parametrize("mode", MODE_DIMS)
+@SETTINGS
+@given(data=st.data())
+def test_shift_and_signed_permutation_move_the_distance_by_rounding_only(mode, data):
+    # Not bit for bit: the argument order the distance fixes compares the
+    # samples' bytes, which a shift or a permutation can flip.
+    dim, n = data.draw(st.sampled_from(MODE_DIMS[mode])), data.draw(POWERS_OF_TWO)
+    x, y = data.draw(dyadic(n, dim)), data.draw(dyadic(n, dim))
+    shift = data.draw(arrays(np.float64, dim,
+                             elements=st.integers(-8 * 10**7, 8 * 10**7).map(lambda j: j / 8)))
+    turn = signed_permutation(data, dim)
+    before = cw2_sample_sample(x, y, mode=mode)
+    after = cw2_sample_sample(turn(x + shift), turn(y + shift), mode=mode)
+    assert abs(after.pre_clamp - before.pre_clamp) <= 1e-13 / math.sqrt(math.pi * before.gamma)
+
+
+@pytest.mark.parametrize("mode", MODE_DIMS)
+@SETTINGS
+@given(data=st.data())
+def test_signed_permutation_keeps_every_bit_of_the_prior_distance(mode, data):
+    dim, n = data.draw(st.sampled_from(MODE_DIMS[mode])), data.draw(POWERS_OF_TWO)
+    x = data.draw(dyadic(n, dim))
+    before = cw2_sample_normal(x, mode=mode).pre_clamp
+    after = cw2_sample_normal(signed_permutation(data, dim)(x), mode=mode).pre_clamp
+    assert np.float64(before).tobytes() == np.float64(after).tobytes()
+
+
+@pytest.mark.parametrize("route", ["gram", "tensor"])
+@SETTINGS
+@given(data=st.data())
+def test_mardia_skewness_is_not_negative(route, data):
+    # The Gram route serves n <= D^2, the third-moment tensor route D^2 < n.
+    dim = data.draw(st.integers(2, 6))
+    sizes = st.integers(1, dim * dim) if route == "gram" else st.integers(dim * dim + 1, 3 * dim * dim)
+    x = data.draw(dyadic(data.draw(sizes), dim))
+    assert mardia(x).skewness >= 0.0

@@ -2,7 +2,7 @@
 
 import csv
 import math
-import warnings
+import struct
 
 import numpy as np
 import pytest
@@ -239,10 +239,9 @@ class TestTrainLoop:
 
     def test_rejects_empty_validation_set_by_name(self, rng):
         data = self.make_data(rng)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no "Mean of empty slice" on the way
-            with pytest.raises(ValueError, match="^validation set is empty$"):
-                train(self.small_config(), data, data[:0])
+        # rejected before NumPy warns "Mean of empty slice": a warning fails the test
+        with pytest.raises(ValueError, match="^validation set is empty$"):
+            train(self.small_config(), data, data[:0])
 
     @pytest.mark.parametrize("field, value", [("learning_rate", math.nan), ("beta2", 1.0)])
     def test_bad_config_fails_before_training(self, rng, field, value):
@@ -444,6 +443,19 @@ class TestCheckpoint:
         clipped.write_bytes(blob[: len(blob) - 40])
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(clipped)
+
+    def test_oversized_layer_shape_is_a_value_error(self, rng, tmp_path):
+        params = mlp.init_mlp(4, 2, (6,), (6,), "identity", rng)
+        cfg = TrainConfig(latent_dim=2, batch_size=8, epochs=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg)
+        blob = path.read_bytes()
+        shape_at = len(b"CWAECKPT") + 8 + len(config_to_text(cfg).encode()) + 4
+        assert struct.unpack("<II", blob[shape_at:shape_at + 8]) == (4, 6)
+        path.write_bytes(blob[:shape_at] + b"\xff" * 8 + blob[shape_at + 8:])
+        with pytest.raises(ValueError, match=rf"truncated checkpoint: expected {8 * 0xFFFFFFFF ** 2} "
+                                             r"bytes for encoder\[0\] weights"):
+            load_checkpoint(path)
 
     def test_truncated_header_names_config(self, rng, tmp_path):
         params = mlp.init_mlp(4, 2, (6,), (6,), "identity", rng)
