@@ -11,7 +11,10 @@ D = 3072, the expansion within 1e-15 at every D; both two-branch profiles
 Every pairwise kernel (the profile sums, the latent gradient and Mardia's
 Gram route) walks one tile size over its pair matrix, a symmetric one only
 the tiles on and above the diagonal; the profile sums and the gradient take
-their tiles of squared distances from one centred walk.  The Monte Carlo
+their tiles of squared distances from one centred walk.  The kernels take
+gamma and scale pair distances by 1/(4 gamma) and norms by 1/(2 + 4 gamma)
+themselves; the gradient evaluates the asymptotic profile on the arguments
+the sums use and differentiates it as -(2/(2D-3)) phi**3.  The Monte Carlo
 evaluators run NumPy's SIMD ``exp`` over contiguous (points, directions)
 strips, in direction chunks shared by threads on every CPU the process may
 use; no value depends on its thread.
@@ -157,13 +160,6 @@ def phi_values(dim, s, mode):
     raise ValueError(f"unknown phi mode {mode!r}")
 
 
-def phi_asymptotic_derivative_values(dim, s):
-    """d/ds of the asymptotic profile: -(2/(2D-3)) (1 + 4s/(2D-3))**-1.5."""
-    r = 2.0 * dim - 3.0
-    t = 1.0 + 4.0 * s / r
-    return -(2.0 / r) / (t * np.sqrt(t))
-
-
 def _pair_d2_chunk(xc, y, nxc, ny):
     d2 = nxc[:, None] + ny[None, :] - 2.0 * (xc @ y.T)
     np.maximum(d2, 0.0, out=d2)
@@ -203,8 +199,9 @@ def _strict_upper(side):
     return flat
 
 
-def sum_phi_cross(x, y, scale, mode):
+def sum_phi_cross(x, y, gamma, mode):
     n, dim = x.shape
+    scale = 1.0 / (4.0 * gamma)
     # phi is even in the pair and phi(0) = 1 exactly in every mode, so a
     # self-sum is n plus twice the sum over the pairs i < j: it walks the
     # tiles on and above the diagonal, and a diagonal tile takes only its
@@ -219,24 +216,27 @@ def sum_phi_cross(x, y, scale, mode):
     return n + 2.0 * total if same else total
 
 
-def sum_phi_norms(x, scale, mode):
+def sum_phi_norms(x, gamma, mode):
     dim = x.shape[1]
     nx = np.einsum("ij,ij->i", x, x)
-    return float(phi_values(dim, nx * scale, mode).sum())
+    return float(phi_values(dim, nx * (1.0 / (2.0 + 4.0 * gamma)), mode).sum())
 
 
 def cw_normal_asym_grad(z, gamma):
+    # d/ds of the asymptotic profile is -(2/(2D-3)) phi**3; -2/(2D-3) is in c1.
     n, dim = z.shape
-    c1 = 1.0 / (2.0 * n * n * math.sqrt(math.pi))
+    c1 = -2.0 / (2.0 * dim - 3.0) / (2.0 * n * n * math.sqrt(math.pi))
     c_pair = c1 / (gamma * math.sqrt(gamma))
     c_norm = -c1 * (2.0 * n / math.sqrt(gamma + 0.5)) / (1.0 + 2.0 * gamma)
+    scale = 1.0 / (4.0 * gamma)
     pair = np.zeros_like(z)
     for rows, _, zr, zc, d2 in _centred_tiles(z, z):
-        w = phi_asymptotic_derivative_values(dim, d2 / (4.0 * gamma))
+        p = phi_values(dim, d2 * scale, MODE_ASYMPTOTIC)
+        w = p * p * p
         pair[rows] += w.sum(axis=1)[:, None] * zr - w @ zc
     nz = np.einsum("ij,ij->i", z, z)
-    wn = phi_asymptotic_derivative_values(dim, nz / (2.0 + 4.0 * gamma))
-    return c_pair * pair + c_norm * wn[:, None] * z
+    p = phi_values(dim, nz * (1.0 / (2.0 + 4.0 * gamma)), MODE_ASYMPTOTIC)
+    return c_pair * pair + c_norm * (p * p * p)[:, None] * z
 
 
 def mardia_sums(x):

@@ -42,12 +42,9 @@ class BenchReport:
 
 
 def _workload(x, gamma, mode):
-    scale_pair = 0.25 / gamma
-    scale_norm = 1.0 / (2.0 + 4.0 * gamma)
-
     def run():
-        kernels.sum_phi_cross(x, x, scale_pair, mode)
-        kernels.sum_phi_norms(x, scale_norm, mode)
+        kernels.sum_phi_cross(x, x, gamma, mode)
+        kernels.sum_phi_norms(x, gamma, mode)
         kernels.cw_normal_asym_grad(x, gamma)
 
     return run
@@ -73,6 +70,8 @@ def run_bench(dim=64, sizes=(128, 256), repeats=20, warmup=3, seed=0, mode=None)
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if warmup < 0:
         raise ValueError("warmup must be >= 0")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     mode = resolve_mode(dim, mode)
     rng = np.random.default_rng(seed)
     data = {n: np.ascontiguousarray(rng.standard_normal((n, dim))) for n in sizes}

@@ -146,8 +146,10 @@ def generate(spec):
     """
     if spec.count < 1:
         raise ValueError(f"count must be >= 1, got {spec.count}")
+    if spec.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {spec.seed}")
+    rng = np.random.default_rng(spec.seed)
     if spec.kind == UNIFORM_CUBE:
-        rng = np.random.default_rng(spec.seed)
         points = rng.uniform(-1.0, 1.0, size=(spec.count, spec.dim))
         return Dataset(points=points, source=f"{spec.kind}(dim={spec.dim})")
     if spec.kind != GAUSSIAN_MIXTURE:
@@ -163,7 +165,6 @@ def generate(spec):
         raise ValueError("variances must be positive")
     if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError("weights must be positive and sum to 1")
-    rng = np.random.default_rng(spec.seed)
     which = rng.choice(means.shape[0], size=spec.count, p=weights)
     noise = rng.standard_normal((spec.count, spec.dim))
     points = means[which] + np.sqrt(variances)[which, None] * noise
@@ -178,6 +179,8 @@ def train_valid_split(dataset, valid_fraction=0.1, seed=0):
     """Shuffled split into (train, valid) Datasets; valid gets the tail."""
     if not 0.0 < valid_fraction < 1.0:
         raise ValueError("valid_fraction must lie strictly between 0 and 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     n = dataset.n
     n_valid = max(1, int(round(n * valid_fraction)))
     if n_valid >= n:

@@ -69,6 +69,19 @@ def _check_gamma(gamma):
     return gamma
 
 
+def _samples(x, y, gamma):
+    """(x, y, gamma) with x and y (None for the prior) checked as samples of one
+    dimension, and gamma checked, or Silverman's rule at min(n, k) when None."""
+    x = _as_sample(x, "x")
+    n = x.shape[0]
+    if y is not None:
+        y = _as_sample(y, "y")
+        if x.shape[1] != y.shape[1]:
+            raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
+        n = min(n, y.shape[0])
+    return x, y, silverman_gamma(n) if gamma is None else _check_gamma(gamma)
+
+
 def _radial_means(a, b):
     """The flat means of two RadialGaussians, each checked finite with a finite
     variance scale >= 0, and both of one shape."""
@@ -93,13 +106,9 @@ def cw2_sample_sample(x, y, gamma=None, mode=None):
     sizes may differ; the three pairwise sums are weighted 1/n^2, 1/k^2 and
     2/(nk).
     """
-    x = _as_sample(x, "x")
-    y = _as_sample(y, "y")
-    if x.shape[1] != y.shape[1]:
-        raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
+    x, y, gamma = _samples(x, y, gamma)
     n, dim = x.shape
     k = y.shape[0]
-    gamma = silverman_gamma(min(n, k)) if gamma is None else _check_gamma(gamma)
     resolved = resolve_mode(dim, mode)
 
     # The cross-sum accumulation order must not depend on argument order,
@@ -107,10 +116,9 @@ def cw2_sample_sample(x, y, gamma=None, mode=None):
     a, b = x, y
     if (k, y.tobytes()) < (n, x.tobytes()):
         a, b = y, x
-    scale = 1.0 / (4.0 * gamma)
-    saa = kernels.sum_phi_cross(a, a, scale, resolved)
-    sbb = kernels.sum_phi_cross(b, b, scale, resolved)
-    sab = kernels.sum_phi_cross(a, b, scale, resolved)
+    saa = kernels.sum_phi_cross(a, a, gamma, resolved)
+    sbb = kernels.sum_phi_cross(b, b, gamma, resolved)
+    sab = kernels.sum_phi_cross(a, b, gamma, resolved)
     na, nb = a.shape[0], b.shape[0]
     pre = (saa / (na * na) + sbb / (nb * nb) - 2.0 * (sab / (na * nb))) / (
         2.0 * math.sqrt(math.pi * gamma)
@@ -131,12 +139,11 @@ def cw2_sample_normal(x, gamma=None, mode=None):
 
     ``gamma`` defaults to the Silverman rule at the sample size.
     """
-    x = _as_sample(x, "x")
+    x, _, gamma = _samples(x, None, gamma)
     n, dim = x.shape
-    gamma = silverman_gamma(n) if gamma is None else _check_gamma(gamma)
     resolved = resolve_mode(dim, mode)
-    s_pair = kernels.sum_phi_cross(x, x, 1.0 / (4.0 * gamma), resolved)
-    s_norm = kernels.sum_phi_norms(x, 1.0 / (2.0 + 4.0 * gamma), resolved)
+    s_pair = kernels.sum_phi_cross(x, x, gamma, resolved)
+    s_norm = kernels.sum_phi_norms(x, gamma, resolved)
     pre = (
         s_pair / math.sqrt(gamma)
         + n * n / math.sqrt(1.0 + gamma)

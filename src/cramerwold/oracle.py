@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .distance import RadialGaussian, _as_sample, _check_gamma, _radial_means, silverman_gamma
+from .distance import RadialGaussian, _check_gamma, _radial_means, _samples
 
 
 class McEstimate(NamedTuple):
@@ -64,17 +64,12 @@ def cw2_monte_carlo(x, y, num_directions, seed, gamma=None):
     """Monte-Carlo estimate of the squared distance between two samples.
 
     Returns the mean per-direction value and its standard error.  Identical
-    samples short-circuit to (0, 0): the integrand is identically zero.
+    samples give (0, 0): their projections coincide in every direction, where
+    the per-direction value is exactly 0.
     """
-    x = _as_sample(x, "x")
-    y = _as_sample(y, "y")
-    if x.shape[1] != y.shape[1]:
-        raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
+    x, y, gamma = _samples(x, y, gamma)
     if num_directions < 2:
         raise ValueError(f"num_directions must be >= 2, got {num_directions}")
-    gamma = silverman_gamma(min(x.shape[0], y.shape[0])) if gamma is None else _check_gamma(gamma)
-    if x.shape == y.shape and x.tobytes() == y.tobytes():
-        return McEstimate(0.0, 0.0)
     v = sample_directions(num_directions, x.shape[1], seed)
     px = v @ x.T
     py = v @ y.T
@@ -87,10 +82,9 @@ def cw2_normal_monte_carlo(x, num_directions, seed, gamma=None):
     The projection of N(0, I) onto any unit direction is N(0, 1), so each
     direction contributes the smoothed 1-D distance to N(0, 1 + gamma).
     """
-    x = _as_sample(x, "x")
+    x, _, gamma = _samples(x, None, gamma)
     if num_directions < 2:
         raise ValueError(f"num_directions must be >= 2, got {num_directions}")
-    gamma = silverman_gamma(x.shape[0]) if gamma is None else _check_gamma(gamma)
     v = sample_directions(num_directions, x.shape[1], seed)
     px = v @ x.T
     return _summarize(kernels.mc_normal_values(px, gamma))

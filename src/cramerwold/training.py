@@ -304,16 +304,11 @@ def config_from_text(text, extra_keys=()):
             raise ValueError(f"line {lineno}: unknown config field {key!r}")
     kwargs = {}
     for key, value in raw.items():
-        ftype = known[key].type
         try:
             if key in _TUPLE_FIELDS:
                 kwargs[key] = tuple(int(v) for v in value.split(",") if v != "")
-            elif ftype in (int, "int"):
-                kwargs[key] = int(value)
-            elif ftype in (float, "float"):
-                kwargs[key] = float(value)
             else:
-                kwargs[key] = value
+                kwargs[key] = known[key].type(value)
         except ValueError:
             raise ValueError(f"field {key!r}: could not parse {value!r}") from None
     missing = [name for name in ("latent_dim", "batch_size", "epochs") if name not in kwargs]
@@ -373,6 +368,8 @@ def load_checkpoint(path):
         blocks = []
         for name, stack in zip(("encoder", "decoder"), shapes):
             (count,) = struct.unpack("<I", _read_exactly(fh, 4, f"{name} layer count"))
+            if count == 0:
+                raise ValueError(f"checkpoint {name} has no layers")
             for idx in range(count):
                 rows, cols = struct.unpack("<II", _read_exactly(fh, 8, f"{name}[{idx}] shape"))
                 blocks.append(_read_exactly(fh, 8 * rows * cols, f"{name}[{idx}] weights"))
@@ -380,6 +377,13 @@ def load_checkpoint(path):
                 stack.append((rows, cols))
         (act_len,) = struct.unpack("<I", _read_exactly(fh, 4, "activation length"))
         act = _read_exactly(fh, act_len, "activation").decode("utf-8")
+    # Each layer's inputs are the previous layer's outputs; the encoder's
+    # outputs feed the decoder, and the decoder's outputs match the encoder's inputs.
+    layers = [(f"{name}[{idx}]", shape) for name, stack in zip(("encoder", "decoder"), shapes)
+              for idx, shape in enumerate(stack)]
+    for (prev, (_, width)), (layer, (rows, _)) in zip(layers, layers[1:] + layers[:1]):
+        if rows != width:
+            raise ValueError(f"checkpoint layer {layer} takes {rows} inputs, but {prev} gives {width}")
     # The weight and bias blocks, in file order, are exactly MlpParams.flat.
     flat = np.frombuffer(b"".join(blocks), dtype="<f8").astype(np.float64)
     return mlp.params_from_flat(flat, *shapes, act), cfg_text

@@ -10,12 +10,6 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "acceptance: end-to-end acceptance criteria (slow)"
-    )
-
-
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Repeat the per-criterion verdict lines outside capture, so a plain
     ``pytest -v`` run records them even for passing criteria."""

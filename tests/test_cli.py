@@ -18,6 +18,7 @@ from cramerwold import (
     cw2_normal_monte_carlo,
     load_checkpoint,
     mardia,
+    run_bench,
     silverman_gamma,
 )
 from cramerwold.data import save_csv
@@ -356,6 +357,15 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", "--sizes", "64,32")
         assert code == 2
         assert "increasing" in err
+
+    def test_negative_seed_is_named(self, capsys):
+        code, _, err = run_cli(capsys, "bench", "--sizes", "32", "--seed", "-1")
+        assert code == 2
+        assert "seed must be >= 0, got -1" in err
+
+    def test_run_bench_rejects_a_negative_seed_by_name(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            run_bench(dim=5, sizes=(32,), repeats=1, warmup=0, seed=-1)
 
 
 class TestUsage:

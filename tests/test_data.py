@@ -270,6 +270,11 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="means"):
             generate(self.mixture_spec(means=((0.0, 0.0, 0.0), (4.0, 4.0, 4.0))))
 
+    @pytest.mark.parametrize("kind", [GAUSSIAN_MIXTURE, UNIFORM_CUBE])
+    def test_rejects_a_negative_seed_by_name(self, kind):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            generate(self.mixture_spec(kind=kind, seed=-1))
+
 
 class TestSplit:
     def test_partition_sizes_and_content(self, rng):
@@ -298,6 +303,11 @@ class TestSplit:
         for part in (tr, va):
             near_origin = part.points[:, 0] < 50.0
             assert np.array_equal(part.labels == 0, near_origin)
+
+    def test_rejects_a_negative_seed_by_name(self, rng):
+        ds = Dataset(points=rng.standard_normal((10, 2)))
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            train_valid_split(ds, seed=-1)
 
     def test_split_is_deterministic(self, rng):
         ds = Dataset(points=rng.standard_normal((50, 2)))

@@ -28,8 +28,8 @@ class TestSelfSums:
         # phi(0) = 1 in every mode, whatever the point and its offset
         for _ in range(50):
             p = rng.standard_normal((1, dim)) * 1.3 + 0.2 + offset
-            assert kernels.sum_phi_cross(p, p, 0.3125, mode) == 1.0
-            assert kernels.sum_phi_cross(p, p.copy(), 0.3125, mode) == 1.0
+            assert kernels.sum_phi_cross(p, p, 0.8, mode) == 1.0
+            assert kernels.sum_phi_cross(p, p.copy(), 0.8, mode) == 1.0
 
     @pytest.mark.parametrize("mode, dim", MODES, ids=MODE_IDS)
     def test_sample_matches_brute_force_with_zero_diagonal(self, rng, mode, dim):
@@ -38,7 +38,7 @@ class TestSelfSums:
         d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
         np.fill_diagonal(d2, 0.0)
         brute = math.fsum(_vectorized.phi_values(dim, d2.ravel() * 0.3125, mode))
-        got = kernels.sum_phi_cross(x, x, 0.3125, mode)
+        got = kernels.sum_phi_cross(x, x, 0.8, mode)
         assert got == pytest.approx(brute, rel=1e-12)
 
     @pytest.mark.parametrize("mode, dim", MODES, ids=MODE_IDS)
@@ -51,12 +51,12 @@ class TestSelfSums:
         d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
         np.fill_diagonal(d2, 0.0)
         brute = math.fsum(_vectorized.phi_values(dim, d2.ravel() * 0.3125, mode))
-        assert kernels.sum_phi_cross(x, x, 0.3125, mode) == pytest.approx(brute, rel=1e-12)
+        assert kernels.sum_phi_cross(x, x, 0.8, mode) == pytest.approx(brute, rel=1e-12)
         for k in (1, 127, 128, 129, 259):
             y = rng.standard_normal((k, dim)) + 0.5
             d2 = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
             brute = math.fsum(_vectorized.phi_values(dim, d2.ravel() * 0.3125, mode))
-            assert kernels.sum_phi_cross(x, y, 0.3125, mode) == pytest.approx(brute, rel=1e-12)
+            assert kernels.sum_phi_cross(x, y, 0.8, mode) == pytest.approx(brute, rel=1e-12)
 
     @pytest.mark.parametrize("mode", [PhiMode.EXACT_SERIES, PhiMode.ASYMPTOTIC],
                              ids=["PhiMode.EXACT_SERIES", "PhiMode.ASYMPTOTIC"])
@@ -80,8 +80,8 @@ class TestModeRoute:
         x = rng.standard_normal((150, dim)) * 1.5
         y = rng.standard_normal((90, dim)) + 0.5
         for a, b in ((x, x), (x, y)):
-            assert kernels.sum_phi_cross(a, b, 0.3125, mode) == kernels.sum_phi_cross(
-                a, b, 0.3125, mode.value
+            assert kernels.sum_phi_cross(a, b, 0.8, mode) == kernels.sum_phi_cross(
+                a, b, 0.8, mode.value
             )
 
     def test_unknown_mode_is_rejected_by_name(self, rng):
@@ -89,7 +89,7 @@ class TestModeRoute:
         with pytest.raises(ValueError, match="'bogus'"):
             _vectorized.phi_values(5, np.array([1.0]), "bogus")
         with pytest.raises(ValueError, match="'bogus'"):
-            kernels.sum_phi_cross(x, x, 0.3125, "bogus")
+            kernels.sum_phi_cross(x, x, 0.8, "bogus")
         with pytest.raises(ValueError, match="'bogus'"):
             cw2_sample_normal(x, mode="bogus")
 
@@ -117,14 +117,16 @@ class TestGradientKernel:
         # brute force over exact differences z_i - z_j: the pair term must not
         # lose digits to a common offset (uncentred codes read 1.4e-6 at 1e5);
         # 128 rows are one tile, 259 a ragged 3 x 3 walk
+        def dphi(s):  # d/ds of the asymptotic profile (1 + 4s/(2D-3))**-0.5, D = 8
+            t = 1.0 + 4.0 * s / 13.0
+            return -(2.0 / 13.0) / (t * np.sqrt(t))
+
         for n in (128, 259):
             z = rng.standard_normal((n, 8)) + offset
             gamma = 0.3
-            dim = z.shape[1]
-            dphi = _vectorized.phi_asymptotic_derivative_values
             diff = z[:, None, :] - z[None, :, :]
-            w = dphi(dim, (diff * diff).sum(axis=2) / (4.0 * gamma))
-            wn = dphi(dim, (z * z).sum(axis=1) / (2.0 + 4.0 * gamma))
+            w = dphi((diff * diff).sum(axis=2) / (4.0 * gamma))
+            wn = dphi((z * z).sum(axis=1) / (2.0 + 4.0 * gamma))
             c1 = 1.0 / (2.0 * n * n * math.sqrt(math.pi))
             c_norm = -c1 * (2.0 * n / math.sqrt(gamma + 0.5)) / (1.0 + 2.0 * gamma)
             pair = (w[:, :, None] * diff).sum(axis=1)

@@ -457,6 +457,23 @@ class TestCheckpoint:
                                              r"bytes for encoder\[0\] weights"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("encoder, decoder, layer", [
+        ([(4, 3), (5, 2)], [(2, 4)], r"encoder\[1\] takes 5 inputs, but encoder\[0\] gives 3"),
+        ([(4, 2)], [(3, 4)], r"decoder\[0\] takes 3 inputs, but encoder\[0\] gives 2"),
+        ([(4, 2)], [(2, 5)], r"encoder\[0\] takes 4 inputs, but decoder\[0\] gives 5"),
+        ([], [(2, 2)], "checkpoint encoder has no layers"),
+        ([(4, 2)], [], "checkpoint decoder has no layers"),
+    ], ids=["within-encoder", "encoder-to-decoder", "decoder-to-input", "no-encoder", "no-decoder"])
+    def test_layers_that_do_not_chain_are_named(self, rng, tmp_path, encoder, decoder, layer):
+        # written through the file format: params_from_flat lays any shapes out
+        shapes = encoder + decoder
+        flat = rng.standard_normal(sum(r * c + c for r, c in shapes))
+        params = mlp.params_from_flat(flat, encoder, decoder)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, TrainConfig(latent_dim=2, batch_size=8, epochs=1))
+        with pytest.raises(ValueError, match=layer):
+            load_checkpoint(path)
+
     def test_truncated_header_names_config(self, rng, tmp_path):
         params = mlp.init_mlp(4, 2, (6,), (6,), "identity", rng)
         cfg = TrainConfig(latent_dim=2, batch_size=8, epochs=1)
