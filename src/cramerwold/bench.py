@@ -1,10 +1,10 @@
-"""Micro-benchmark of the normal-distance + gradient workload.
+"""Micro-benchmark of the latent-distance + gradient work of a training step.
 
-Runs the O(n^2) kernels behind ``cw2_sample_normal`` and its latent gradient
-over a list of batch sizes, and reports the growth ratio between consecutive
-sizes.  A healthy quadratic kernel lands near 4 when the size doubles; the
-CLI gate accepts [2.5, 6] for the doubling steps.  Results are keyed by
-``kernels.BACKEND``, the name of the one kernel implementation.
+Runs the O(n^2) asymptotic-mode kernels a training step runs on its codes
+(``sum_phi_cross``, ``sum_phi_norms`` and ``cw_normal_asym_grad``) over a
+list of batch sizes, and reports the growth ratio between consecutive sizes.
+A healthy quadratic kernel lands near 4 when the size doubles; the CLI gate
+accepts [2.5, 6] for the doubling steps.
 """
 
 import time
@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels
 from .distance import silverman_gamma
-from .phi import resolve_mode
+from .phi import PhiMode, resolve_mode
 
 RATIO_LOW = 2.5
 RATIO_HIGH = 6.0
@@ -26,25 +26,24 @@ class BenchReport:
     sizes: tuple
     repeats: int
     warmup: int
-    active_backend: str
-    mean_seconds: dict   # backend -> {size: mean seconds per call}
-    ratios: dict         # backend -> {(n_small, n_big): time ratio}, consecutive sizes
+    seconds: dict  # size -> mean seconds per call
+    ratios: dict   # (n_small, n_big) -> time ratio, consecutive sizes
 
-    def active_doubling_ok(self):
+    def doubling_ok(self):
         """True when every exact-doubling step scales quadratically (ratio
         within [RATIO_LOW, RATIO_HIGH]); vacuously true when no consecutive
         pair doubles."""
         return all(
             RATIO_LOW <= ratio <= RATIO_HIGH
-            for (small, big), ratio in self.ratios[self.active_backend].items()
+            for (small, big), ratio in self.ratios.items()
             if big == 2 * small
         )
 
 
-def _workload(x, gamma, mode):
+def _workload(x, gamma):
     def run():
-        kernels.sum_phi_cross(x, x, gamma, mode)
-        kernels.sum_phi_norms(x, gamma, mode)
+        kernels.sum_phi_cross(x, x, gamma, PhiMode.ASYMPTOTIC)
+        kernels.sum_phi_norms(x, gamma, PhiMode.ASYMPTOTIC)
         kernels.cw_normal_asym_grad(x, gamma)
 
     return run
@@ -59,7 +58,7 @@ def _time_mean(fn, repeats, warmup):
     return (time.perf_counter() - start) / repeats
 
 
-def run_bench(dim=64, sizes=(128, 256), repeats=20, warmup=3, seed=0, mode=None):
+def run_bench(dim=64, sizes=(128, 256), repeats=20, warmup=3, seed=0):
     """Time the kernels at each batch size; returns a BenchReport."""
     sizes = tuple(sizes)
     if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -72,20 +71,15 @@ def run_bench(dim=64, sizes=(128, 256), repeats=20, warmup=3, seed=0, mode=None)
         raise ValueError("warmup must be >= 0")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    mode = resolve_mode(dim, mode)
+    resolve_mode(dim)  # checks the dimension
     rng = np.random.default_rng(seed)
     data = {n: np.ascontiguousarray(rng.standard_normal((n, dim))) for n in sizes}
-    per_size = {
-        n: _time_mean(_workload(data[n], silverman_gamma(n), mode), repeats, warmup)
-        for n in sizes
-    }
-    backend = kernels.BACKEND
+    seconds = {n: _time_mean(_workload(data[n], silverman_gamma(n)), repeats, warmup) for n in sizes}
     return BenchReport(
         dim=dim,
         sizes=sizes,
         repeats=repeats,
         warmup=warmup,
-        active_backend=backend,
-        mean_seconds={backend: per_size},
-        ratios={backend: {(a, b): per_size[b] / per_size[a] for a, b in zip(sizes, sizes[1:])}},
+        seconds=seconds,
+        ratios={(a, b): seconds[b] / seconds[a] for a, b in zip(sizes, sizes[1:])},
     )

@@ -146,6 +146,8 @@ def generate(spec):
     """
     if spec.count < 1:
         raise ValueError(f"count must be >= 1, got {spec.count}")
+    if spec.dim < 1:
+        raise ValueError(f"dim must be >= 1, got {spec.dim}")
     if spec.seed < 0:
         raise ValueError(f"seed must be >= 0, got {spec.seed}")
     rng = np.random.default_rng(spec.seed)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .phi import PhiMode, phi, resolve_mode
+from .phi import PhiMode, _integer, phi, resolve_mode
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,10 @@ class RadialGaussian:
 
 def silverman_gamma(n):
     """Silverman-rule smoothing variance (4 / (3n)) ** (2/5) for sample size n."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    size = _integer(n)
+    if size is None or size < 1:
         raise ValueError(f"sample size must be a positive integer, got {n!r}")
-    return (4.0 / (3.0 * n)) ** 0.4
+    return (4.0 / (3.0 * size)) ** 0.4
 
 
 def _as_sample(arr, name):

@@ -47,6 +47,9 @@ def l2_smoothed_1d(a, b, gamma):
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.size < 1 or b.size < 1:
         raise ValueError("samples must be non-empty")
+    for name, sample in (("a", a), ("b", b)):
+        if not np.isfinite(sample).all():
+            raise ValueError(f"{name} contains non-finite values")
     gamma = _check_gamma(gamma)
     return float(kernels.mc_pair_values(a[None, :], b[None, :], gamma)[0])
 

@@ -15,6 +15,7 @@ products of Gaussian-smoothed projections.  Three evaluation modes:
 
 import enum
 import math
+import operator
 
 import numpy as np
 
@@ -27,6 +28,14 @@ class PhiMode(str, enum.Enum):
     BESSEL_D2 = _vectorized.MODE_BESSEL2
 
 
+def _integer(value):
+    """``operator.index(value)``, or None for a bool or a value it rejects."""
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
+
+
 def resolve_mode(dim, mode=None):
     """Pick the evaluation mode for dimension ``dim``.
 
@@ -34,7 +43,7 @@ def resolve_mode(dim, mode=None):
     fit at D = 2, stabilized series for 3 <= D < 20, asymptotic closed form
     for D >= 20.  Strings matching the mode values are also accepted.
     """
-    if not isinstance(dim, int) or isinstance(dim, bool):
+    if _integer(dim) is None:
         raise ValueError(f"dimension must be an integer, got {dim!r}")
     if dim < 2:
         raise ValueError(f"dimension must be >= 2, got {dim}")

@@ -102,12 +102,24 @@ class CwaeCost(NamedTuple):
     cw_squared: float
 
 
-def _forward_cost(x, params, gamma, eps_log, cw_weight):
-    """Forward pass and CWAE cost of one batch: (cost, what backprop needs).
+def cwae_cost(x, params, gamma=None, eps_log=1e-12, cw_weight=1.0):
+    """Total / reconstruction / log-distance breakdown of the CWAE objective."""
+    return cost_and_grad(x, params, "cwae", gamma, eps_log, cw_weight)[1]
 
-    Latent codes that are not finite (a diverged run) give a NaN distance, so
+
+def cost_and_grad(x, params, objective="cwae", gamma=None, eps_log=1e-12, cw_weight=1.0):
+    """Objective value and parameter gradient for one batch.
+
+    Returns (gradient, CwaeCost).  The gradient is one float64 array laid out
+    like ``params.flat``; ``params.like(gradient)`` shows it per layer.  For
+    ``plain_ae`` the cost breakdown still reports the distance of the codes
+    to N(0, I) as a diagnostic, but no gradient flows from it.  Latent codes
+    that are not finite (a diverged run) give a NaN distance and total, so
     ``train`` can name the epoch and step instead of the distance layer raising.
     """
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+    x = np.asarray(x, dtype=np.float64)
     z, enc_caches = mlp._forward_stack(params.encoder, x, "identity")
     xhat, dec_caches = mlp._forward_stack(params.decoder, z, params.output_activation)
     rec = mlp.mse(x, xhat)
@@ -117,38 +129,13 @@ def _forward_cost(x, params, gamma, eps_log, cw_weight):
         cw_sq, gamma = report.squared_distance, report.gamma
     cw_log = math.log(max(cw_sq, eps_log))  # a NaN distance stays NaN
     cost = CwaeCost(total=cw_weight * cw_log + rec, mse=rec, cw_log=cw_log, cw_squared=cw_sq)
-    return cost, (z, enc_caches, xhat, dec_caches, gamma)
-
-
-def cwae_cost(x, params, gamma=None, eps_log=1e-12, cw_weight=1.0):
-    """Total / reconstruction / log-distance breakdown of the CWAE objective.
-
-    Latent codes that are not finite give a NaN distance and a NaN total.
-    """
-    return _forward_cost(np.asarray(x, dtype=np.float64), params, gamma, eps_log, cw_weight)[0]
-
-
-def cost_and_grad(x, params, objective="cwae", gamma=None, eps_log=1e-12, cw_weight=1.0):
-    """Objective value and parameter gradient for one batch.
-
-    Returns (gradient, CwaeCost).  The gradient is one float64 array laid out
-    like ``params.flat``; ``params.like(gradient)`` shows it per layer.  For
-    ``plain_ae`` the cost breakdown still reports the distance of the codes
-    to N(0, I) as a diagnostic, but no gradient flows from it.
-    """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    x = np.asarray(x, dtype=np.float64)
-    cost, (z, enc_caches, xhat, dec_caches, gamma) = _forward_cost(
-        x, params, gamma, eps_log, cw_weight
-    )
     grad = params.like(np.empty_like(params.flat))
     dxhat = (2.0 / x.shape[0]) * (xhat - x)
     dz = mlp._backward_stack(
         params.decoder, dec_caches, params.output_activation, xhat, dxhat, grad.decoder
     )
-    if objective == "cwae" and cost.cw_squared > eps_log:
-        dz = dz + (cw_weight / cost.cw_squared) * kernels.cw_normal_asym_grad(z, gamma)
+    if objective == "cwae" and cw_sq > eps_log:
+        dz = dz + (cw_weight / cw_sq) * kernels.cw_normal_asym_grad(z, gamma)
     mlp._backward_stack(
         params.encoder, enc_caches, "identity", z, dz, grad.encoder, input_grad=False
     )

@@ -7,6 +7,7 @@ float format means equality is exact, not approximate.
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -342,9 +343,31 @@ class TestBench:
         assert code == 0
         report = parse_report(out)
         assert report["verdict"] == "ok"
-        assert not [k for k in report if "_ratio_" in k]
-        seconds = [k for k in report if k.endswith("_seconds_32")]
-        assert seconds  # at least the active backend was timed
+        assert not [k for k in report if re.fullmatch(r"ratio_\d+_\d+", k)]
+        assert float(report["seconds_32"]) > 0.0
+        assert report["ratio_window"] == "2.5,6.0"
+        assert "active_backend" not in report
+
+    def test_two_sizes_print_seconds_and_the_ratio(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bench", "--dim", "5", "--sizes", "16,32",
+            "--repeats", "1", "--warmup", "0",
+        )
+        report = parse_report(out)
+        assert {"seconds_16", "seconds_32", "ratio_16_32"} <= set(report)
+        seconds = float(report["seconds_32"]) / float(report["seconds_16"])
+        assert float(report["ratio_16_32"]) == seconds
+        assert code == (0 if report["verdict"] == "ok" else 1)
+
+    def test_mode_option_is_gone(self, capsys):
+        code, _, err = run_cli(capsys, "bench", "--sizes", "32", "--mode", "exact")
+        assert code == 2
+        assert "--mode" in err
+
+    def test_run_bench_takes_numpy_integers(self):
+        report = run_bench(dim=np.int64(8), sizes=np.array([16, 32]), repeats=1, warmup=0)
+        assert list(report.ratios) == [(16, 32)]
+        assert report.ratios[(16, 32)] == report.seconds[32] / report.seconds[16]
 
     def test_zero_repeats_is_a_usage_error(self, capsys):
         code, _, err = run_cli(

@@ -254,6 +254,12 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="count"):
             generate(self.mixture_spec(count=0))
 
+    @pytest.mark.parametrize("kind", [GAUSSIAN_MIXTURE, UNIFORM_CUBE])
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_rejects_a_dim_below_one_by_name(self, kind, dim):
+        with pytest.raises(ValueError, match=f"^dim must be >= 1, got {dim}$"):
+            generate(self.mixture_spec(kind=kind, dim=dim))
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             generate(SyntheticSpec(kind="moons", dim=2, count=10))

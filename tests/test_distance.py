@@ -50,13 +50,18 @@ class TestSilverman:
         assert silverman_gamma(100) == (4.0 / 300.0) ** 0.4
         assert silverman_gamma(1) == (4.0 / 3.0) ** 0.4
 
+    @pytest.mark.parametrize("n", [np.int64(16), np.int32(16)])
+    def test_numpy_integer_sizes_match_int(self, n):
+        assert silverman_gamma(n) == silverman_gamma(16)
+
     def test_decreasing_in_n(self):
         vals = [silverman_gamma(n) for n in (1, 4, 16, 64, 256)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("bad", [0, -3, 2.5, True])
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, True, 5.0])
     def test_rejects_bad_sizes(self, bad):
-        with pytest.raises(ValueError):
+        message = f"^sample size must be a positive integer, got {bad!r}$"
+        with pytest.raises(ValueError, match=message):
             silverman_gamma(bad)
 
 

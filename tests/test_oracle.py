@@ -55,6 +55,13 @@ class TestSmoothed1d:
         with pytest.raises(ValueError):
             l2_smoothed_1d(np.array([]), np.array([1.0]), 0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_samples_by_name(self, bad):
+        with pytest.raises(ValueError, match="^a contains non-finite values$"):
+            l2_smoothed_1d([bad], [0.0], 0.5)
+        with pytest.raises(ValueError, match="^b contains non-finite values$"):
+            l2_smoothed_1d([0.0, 1.0], [2.0, bad], 0.5)
+
 
 class TestDirections:
     def test_unit_norms(self):

@@ -243,3 +243,13 @@ class TestDispatcher:
     def test_rejects_tiny_dimension(self):
         with pytest.raises(ValueError):
             phi(1, 1.0)
+
+    @pytest.mark.parametrize("dim", [np.int64(5), np.int32(5), np.int64(25), np.int32(2)])
+    def test_numpy_integer_dimensions_match_int(self, dim):
+        assert resolve_mode(dim) is resolve_mode(int(dim))
+        assert phi(dim, 3.0) == phi(int(dim), 3.0)
+
+    @pytest.mark.parametrize("dim", [True, 5.0])
+    def test_rejects_bool_and_float_dimensions(self, dim):
+        with pytest.raises(ValueError, match=f"^dimension must be an integer, got {dim!r}$"):
+            phi(dim, 1.0)
