@@ -1,13 +1,14 @@
 """NumPy kernels: the profile function, pairwise sums and Monte Carlo values.
 
 Each branch of the profile 1F1(1/2; D/2; -s) (see :mod:`cramerwold.phi`) is
-written once here.  Exact mode evaluates the Kummer transform
-``exp(-s) * 1F1((D-1)/2; D/2; s)`` in two branches: its all-positive series
-for s <= 40 or s < D, and a large-argument expansion for s >= max(D, 40),
-a polynomial in 1/s of a degree fixed per D.  Against mpmath's ``hyp1f1`` at
-40 digits the series is within 4.7e-15 relative up to D = 784 and 1.1e-14 at
-D = 3072, the expansion within 1e-15 at every D; both two-branch profiles
-(exact, and the 2-D Bessel fit) pick their branch per value in one selector.
+written once here.  Exact mode evaluates ``exp(-s) * 1F1((D-1)/2; D/2; s)``
+by its all-positive series for s <= 40 or s < D, and by a large-argument
+expansion (a polynomial in 1/s of a degree fixed per D) for s >= max(D, 40).
+Against mpmath's ``hyp1f1`` at 40 digits the series is within 4.7e-15
+relative up to D = 784 and 1.1e-14 at D = 3072, the expansion within 1e-15
+at every D.  Both two-branch profiles (exact, 2-D Bessel fit) pick branches
+in one selector that gathers and writes back each branch's values by index;
+an exact pair sum makes one series call per 2**18 waiting tile values.
 Every pairwise kernel (the profile sums, the latent gradient and Mardia's
 Gram route) walks one tile size over its pair matrix, a symmetric one only
 the tiles on and above the diagonal; the profile sums and the gradient take
@@ -46,6 +47,7 @@ _RESCALE = math.exp(-_RESCALE_LOG)
 # time-vs-n scaling cleanly quadratic (doubling ratio ~3.3 instead of ~7 with
 # un-blocked Gram matrices).
 _TILE = 128
+_SERIES_POOL = 1 << 18  # tile values (2 MiB) that may wait for one series call
 # Elements per Monte-Carlo strip (points x directions): 512 KiB of float64,
 # which stays in L2 while a strip goes through its subtract, square, scale,
 # exp and sum passes.  n = 64 gets 1024 directions per chunk; measured at
@@ -115,18 +117,19 @@ def _gamma_ratio(dim):
                                    + 17 / (14336 * x**7) - 31 / (18432 * x**9))
 
 
-def _phi_exact_vec(dim, s):
-    return _two_branches(s, (s <= SERIES_SWITCH) | (s < dim),
-                         lambda t: _phi_series_vec(dim, t), lambda t: _phi_expansion_vec(dim, t))
-
-
-def _two_branches(s, first, f, g):
-    """f(s) where ``first`` holds and g(s) elsewhere; neither is called on no
-    values (the series sizes its loop by the largest s it is given)."""
-    out = np.empty_like(s)
-    for mask, branch in ((first, f), (~first, g)):
-        if mask.any():
-            out[mask] = branch(s[mask])
+def _two_branches(s, first, f, g, pending=None):
+    """f(s) where ``first`` holds and g(s) elsewhere, each branch called on s if it
+    owns every value, else on its values gathered by index, and never on none (the
+    series sizes its loop by its largest s).  With a ``pending`` list f is not
+    called: (result, flat positions, values) goes on the list for the caller to fill."""
+    out = np.empty(s.shape)  # C order, so reshape(-1) is a view
+    for idx, branch in ((np.flatnonzero(first), f), (np.flatnonzero(~first), g)):
+        if idx.size and branch is f and pending is not None:
+            pending.append((out, idx, s.take(idx)))
+        elif idx.size == s.size > 0:
+            return branch(s)
+        elif idx.size:
+            out.reshape(-1)[idx] = branch(s.take(idx))
     return out
 
 
@@ -148,15 +151,17 @@ def _phi_bessel2_vec(s):
                          lambda t: np.sqrt(2.0 / t) * _horner(7.5 / t, big))
 
 
-def phi_values(dim, s, mode):
-    """Vectorized profile function over an array of nonnegative s."""
+def phi_values(dim, s, mode, pending=None):
+    """Vectorized profile over nonnegative s; exact mode hands ``pending`` to _two_branches."""
     s = np.asarray(s, dtype=np.float64)
     if mode == MODE_ASYMPTOTIC:
         return 1.0 / np.sqrt(1.0 + 4.0 * s / (2.0 * dim - 3.0))
     if mode == MODE_BESSEL2:
         return _phi_bessel2_vec(s)
     if mode == MODE_EXACT:
-        return _phi_exact_vec(float(dim), s)
+        dim = float(dim)
+        return _two_branches(s, (s <= SERIES_SWITCH) | (s < dim), lambda t: _phi_series_vec(dim, t),
+                             lambda t: _phi_expansion_vec(dim, t), pending)
     raise ValueError(f"unknown phi mode {mode!r}")
 
 
@@ -205,15 +210,30 @@ def sum_phi_cross(x, y, gamma, mode):
     # phi is even in the pair and phi(0) = 1 exactly in every mode, so a
     # self-sum is n plus twice the sum over the pairs i < j: it walks the
     # tiles on and above the diagonal, and a diagonal tile takes only its
-    # strict upper triangle.
+    # strict upper triangle.  Exact-mode tiles with series values wait, up to
+    # _SERIES_POOL values, for one series call; no tile's sum changes a bit.
     same = y is x or (x.shape == y.shape and np.array_equal(x, y))
-    parts = []
+    parts, pending, waiting = [], [], 0
     for rows, cols, _, _, d2 in _centred_tiles(x, x if same else y, upper=same):
         if same and rows == cols:
             d2 = d2.ravel()[_strict_upper(d2.shape[0])]
-        parts.append(float(phi_values(dim, d2 * scale, mode).sum()))
-    total = math.fsum(parts)
+        values = phi_values(dim, d2 * scale, mode, pending)
+        if not pending or pending[-1][0] is not values:  # no series value of it waits
+            parts.append(float(values.sum()))
+        elif (waiting := waiting + values.size) >= _SERIES_POOL:
+            parts += _filled_sums(float(dim), pending)
+            pending, waiting = [], 0
+    total = math.fsum(parts + _filled_sums(float(dim), pending))
     return n + 2.0 * total if same else total
+
+
+def _filled_sums(dim, pending):
+    """The sums of the pending tiles, their series values filled in by one call."""
+    if pending:
+        values = _phi_series_vec(dim, np.concatenate([t for _, _, t in pending]))
+        for (out, idx, _), end in zip(pending, np.cumsum([i.size for _, i, _ in pending])):
+            out.reshape(-1)[idx] = values[end - idx.size:end]
+    return [float(out.sum()) for out, _, _ in pending]
 
 
 def sum_phi_norms(x, gamma, mode):

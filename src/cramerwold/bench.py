@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels
 from .distance import silverman_gamma
-from .phi import PhiMode, resolve_mode
+from .phi import PhiMode, _integer, resolve_mode
 
 RATIO_LOW = 2.5
 RATIO_HIGH = 6.0
@@ -61,6 +61,9 @@ def _time_mean(fn, repeats, warmup):
 def run_bench(dim=64, sizes=(128, 256), repeats=20, warmup=3, seed=0):
     """Time the kernels at each batch size; returns a BenchReport."""
     sizes = tuple(sizes)
+    for name, value in [*(("a size", n) for n in sizes), ("repeats", repeats), ("warmup", warmup)]:
+        if _integer(value) is None:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be a non-empty strictly increasing list")
     if any(n < 2 for n in sizes):

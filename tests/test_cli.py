@@ -390,6 +390,18 @@ class TestBench:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             run_bench(dim=5, sizes=(32,), repeats=1, warmup=0, seed=-1)
 
+    @pytest.mark.parametrize("option, message", [
+        ({"sizes": (16.0, 32.0)}, "a size must be an integer, got 16.0"),
+        ({"sizes": (16, 32.5)}, "a size must be an integer, got 32.5"),
+        ({"repeats": 1.5}, "repeats must be an integer, got 1.5"),
+        ({"warmup": 0.5}, "warmup must be an integer, got 0.5"),
+        ({"warmup": True}, "warmup must be an integer, got True"),
+    ])
+    def test_run_bench_names_a_non_integer_option(self, option, message):
+        kwargs = {"dim": 5, "sizes": (16, 32), "repeats": 1, "warmup": 0, **option}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_bench(**kwargs)
+
 
 class TestUsage:
     def test_no_subcommand_is_a_usage_error(self, capsys):
@@ -399,3 +411,29 @@ class TestUsage:
     def test_unknown_subcommand_is_a_usage_error(self, capsys):
         assert cli.main(["frobnicate"]) == 2
         capsys.readouterr()
+
+    def test_one_parser_serves_every_call(self, capsys, sample_csv, second_csv):
+        # the parser is built once per process; calls with different
+        # subcommands, and a usage error between them, still parse as a
+        # freshly built parser does and print what the library gives
+        (xp, x), (yp, y) = sample_csv, second_csv
+        calls = [["dist", str(xp), "--y", str(yp), "--mode", "exact"],
+                 ["normality", str(xp), "--json"], ["dist", str(xp), "--gamma", "0.25"]]
+        assert cli.build_parser() is cli.build_parser()
+        for argv in calls:
+            fresh = cli.build_parser.__wrapped__().parse_args(argv)
+            assert vars(cli.build_parser().parse_args(argv)) == vars(fresh)
+        code, out, _ = run_cli(capsys, *calls[0])
+        assert code == 0
+        expected = cw2_sample_sample(x, y, gamma=silverman_gamma(16), mode="exact")
+        assert float(parse_report(out)["squared_distance"]) == expected.squared_distance
+        assert run_cli(capsys, "dist", str(xp), "--mode", "bogus")[0] == 2
+        code, out, _ = run_cli(capsys, *calls[1])
+        assert code == 0
+        assert json.loads(out)["skewness"] == mardia(x).skewness
+        code, out, _ = run_cli(capsys, *calls[2])
+        assert code == 0
+        report = parse_report(out)
+        assert report["command"] == "dist" and report["target"] == "normal"
+        assert float(report["squared_distance"]) == cw2_sample_normal(x, gamma=0.25).squared_distance
+        assert run_cli(capsys, "frobnicate")[0] == 2

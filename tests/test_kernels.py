@@ -66,6 +66,61 @@ class TestSelfSums:
         assert rep.pre_clamp == 0.0
 
 
+class TestSeriesPool:
+    """Exact pair sums evaluate the series values of many tiles in one call."""
+
+    @staticmethod
+    def clusters(rng, n, shift):
+        # two far-apart dim-5 clusters in row order: the series serves the
+        # pairs within a cluster and the expansion those across, so some
+        # tiles mix both branches and the tile pairing the clusters has none
+        half = n // 2
+        return np.vstack([rng.standard_normal((half, 5)) + shift,
+                          rng.standard_normal((n - half, 5)) * 1.2 + shift + 30.0])
+
+    @staticmethod
+    def per_tile(x, y, gamma):
+        # the walk with each tile's profile evaluated on its own, fsum'd
+        same = y is x
+        parts = []
+        for rows, cols, _, _, d2 in _vectorized._centred_tiles(x, y, upper=same):
+            if same and rows == cols:
+                d2 = d2.ravel()[_vectorized._strict_upper(d2.shape[0])]
+            parts.append(float(_vectorized.phi_values(5, d2 / (4.0 * gamma), MODE_EXACT).sum()))
+        total = math.fsum(parts)
+        return x.shape[0] + 2.0 * total if same else total
+
+    def test_pool_size_does_not_move_a_bit(self, rng, monkeypatch):
+        x = self.clusters(rng, 300, 0.0)  # a self-sum over 3 x 3 tiles
+        y = self.clusters(rng, 280, 0.4)
+        for a, b in ((x, x), (x, y), (y, x)):
+            reference = self.per_tile(a, b, 0.8)
+            for pool in (1, 1 << 30):
+                monkeypatch.setattr(_vectorized, "_SERIES_POOL", pool)
+                got = kernels.sum_phi_cross(a, b, 0.8, MODE_EXACT)
+                assert got.hex() == reference.hex()
+
+    def test_one_series_call_per_pair_sum(self, rng, monkeypatch):
+        series = _vectorized._phi_series_vec
+        calls = []
+
+        def counted(dim, s):
+            calls.append(s.size)
+            return series(dim, s)
+
+        monkeypatch.setattr(_vectorized, "_phi_series_vec", counted)
+        x = self.clusters(rng, 300, 0.0)
+        y = self.clusters(rng, 280, 0.4)
+        for a, b in ((x, x), (x, y)):
+            calls.clear()
+            kernels.sum_phi_cross(a, b, 0.8, MODE_EXACT)
+            assert len(calls) == 1
+        monkeypatch.setattr(_vectorized, "_SERIES_POOL", 1)
+        calls.clear()
+        kernels.sum_phi_cross(x, x, 0.8, MODE_EXACT)
+        assert len(calls) == 5  # each of the 6 tiles but the one pairing the clusters
+
+
 class TestModeRoute:
     """The kernels take a PhiMode as is; a member and its value string are one mode."""
 

@@ -79,6 +79,24 @@ class TestExactProfile:
                  for i in range(s.size)]
         assert np.array_equal(batch, alone)
 
+    @pytest.mark.parametrize("dim, mode, switch, low", [(2, _vectorized.MODE_BESSEL2, 7.5, 7.5),
+                                                        (5, _vectorized.MODE_EXACT, 40.0, 8.0)])
+    def test_mixed_tile_matches_value_by_value(self, rng, dim, mode, switch, low):
+        # a 128 x 128 tile that splits at random between the two branches,
+        # taken whole in 2-D, as its flat 1-D copy, transposed, and with one
+        # branch owning every value (exact mode's series is kept below s = 8,
+        # and the seam values, so that the scalar reference stays quick)
+        s = np.where(rng.random((128, 128)) < 0.45, rng.uniform(0.0, low, (128, 128)),
+                     rng.uniform(switch, 20.0 * switch, (128, 128)))
+        s[:3, :3] = [[0.0, 7.5, 40.0], [np.nextafter(40.0, 0.0), np.nextafter(40.0, 50.0), 1e4],
+                     [1e-300, 1e-12, 5e-324]]
+        alone = np.array([_vectorized.phi_values(dim, v[None], mode)[0] for v in s.ravel()])
+        assert np.array_equal(_vectorized.phi_values(dim, s, mode).ravel(), alone)
+        assert np.array_equal(_vectorized.phi_values(dim, s.ravel(), mode), alone)
+        assert np.array_equal(_vectorized.phi_values(dim, s.T, mode).T.ravel(), alone)
+        first = s[None, s <= switch]
+        assert np.array_equal(_vectorized.phi_values(dim, first, mode)[0], alone[s.ravel() <= switch])
+
     def test_expansion_is_finite_at_dim_two_million(self):
         # (1/2)_k (3/2 - D/2)_k / k! alone overflows here; the asymptotic
         # profile is within 1e-7 of the exact one (measured 8.3e-8)
