@@ -6,12 +6,17 @@ fan-in-scaled uniform noise, biases to zero.  Every parameter lives in one
 float64 buffer, ``MlpParams.flat``: each layer's row-major ``W`` and then its
 ``b``, encoder layers first, the order checkpoints store them in.  The
 ``[W, b]`` entries are views into that buffer, a gradient is one array with
-the same layout, and Adam updates the buffer in place.
+the same layout, and Adam updates the buffer in place.  Adam, ``encode`` and
+``decode`` run in blocks that stay in a 2 MiB L2 and give the bits of one
+whole-array pass; ``encode`` and ``decode`` keep no layer caches.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+_BLOCK = 1 << 14  # Adam's elements per block: 128 KiB of each of its four arrays
+_ROWS = 256  # rows per encode/decode block
 
 
 @dataclass
@@ -116,14 +121,21 @@ def _backward_stack(layers, caches, final_activation, output, dout, grads, input
     return dh
 
 
+def _forward_rows(layers, x, final_activation):
+    """The stack's output, over near-equal blocks of at most ``_ROWS`` rows.
+
+    No block is short: a matmul of 6 rows or fewer rounds differently on
+    OpenBLAS, so a short tail would not keep the bits of one whole call."""
+    blocks = np.array_split(x, -(-len(x) // _ROWS) or 1)
+    return np.concatenate([_forward_stack(layers, b, final_activation)[0] for b in blocks])
+
+
 def encode(params, x):
-    z, _ = _forward_stack(params.encoder, x, "identity")
-    return z
+    return _forward_rows(params.encoder, x, "identity")
 
 
 def decode(params, z):
-    xhat, _ = _forward_stack(params.decoder, z, params.output_activation)
-    return xhat
+    return _forward_rows(params.decoder, z, params.output_activation)
 
 
 def reconstruct(params, x):
@@ -145,12 +157,19 @@ def init_adam(flat):
 
 
 def adam_step(flat, grad, state, learning_rate=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8):
-    """One bias-corrected Adam update of ``flat``, ``state.m`` and ``state.v``, in place."""
+    """One bias-corrected Adam update of ``flat``, ``state.m`` and ``state.v``, in place,
+    ``_BLOCK`` elements at a time; nothing moves if a size does not match."""
+    for name, a in (("grad", grad), ("state.m", state.m), ("state.v", state.v)):
+        if a.shape != flat.shape:
+            raise ValueError(f"{name} has shape {a.shape}, flat {flat.shape}")
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    state.m *= beta1
-    state.m += (1.0 - beta1) * grad
-    state.v *= beta2
-    state.v += (1.0 - beta2) * (grad * grad)
-    flat -= learning_rate * (state.m / bc1) / (np.sqrt(state.v / bc2) + epsilon)
+    for lo in range(0, flat.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        p, g, m, v = flat[block], grad[block], state.m[block], state.v[block]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        p -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + epsilon)

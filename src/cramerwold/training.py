@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels, mlp
 from .distance import cw2_sample_normal
 from .normality import mardia
-from .phi import PhiMode
+from .phi import PhiMode, _integer
 
 OBJECTIVES = ("cwae", "plain_ae")
 
@@ -52,6 +52,9 @@ class TrainConfig:
 def validate_config(config):
     if config.objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {config.objective!r}")
+    for name in ("latent_dim", "batch_size", "epochs", "seed", "valid_cap"):
+        if _integer(getattr(config, name)) is None:
+            raise ValueError(f"{name} must be an integer, got {getattr(config, name)!r}")
     if config.latent_dim < 2:
         raise ValueError(f"latent_dim must be >= 2, got {config.latent_dim}")
     if config.epochs < 0:
@@ -61,8 +64,8 @@ def validate_config(config):
     if config.seed < 0:
         raise ValueError(f"seed must be >= 0, got {config.seed}")
     for name in ("encoder_hidden", "decoder_hidden"):
-        if min(getattr(config, name), default=1) < 1:
-            raise ValueError(f"{name} must hold widths >= 1, got {getattr(config, name)!r}")
+        if any(_integer(w) is None or w < 1 for w in getattr(config, name)):
+            raise ValueError(f"{name} must hold integer widths >= 1, got {getattr(config, name)!r}")
     if config.output_activation not in ("identity", "sigmoid"):
         raise ValueError(f"unknown output activation {config.output_activation!r}")
     for name in ("learning_rate", "eps_log", "adam_epsilon"):

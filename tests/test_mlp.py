@@ -62,6 +62,19 @@ class TestForward:
         w, b = params.decoder[-1]
         assert np.array_equal(decode(params, z_manual), h @ w + b)
 
+    @pytest.mark.parametrize("output_activation", ["identity", "sigmoid"])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 3072])
+    def test_row_blocks_keep_the_bits_of_one_pass(self, rng, n, output_activation):
+        # encode/decode split the rows into blocks; 257 rows would leave a
+        # one-row tail, which a matmul rounds differently from a long block
+        params = init_mlp(64, 8, (200, 200), (200, 200), output_activation, rng)
+        x = rng.standard_normal((n, 64))
+        z, _ = _forward_stack(params.encoder, x, "identity")
+        xhat, _ = _forward_stack(params.decoder, z, output_activation)
+        assert np.array_equal(encode(params, x), z)
+        assert np.array_equal(decode(params, z), xhat)
+        assert np.array_equal(reconstruct(params, x), xhat)
+
     def test_sigmoid_output_stays_in_unit_interval(self, rng):
         params = init_mlp(5, 2, (8,), (8,), "sigmoid", rng)
         z = rng.standard_normal((50, 2)) * 10.0
@@ -183,6 +196,46 @@ class TestAdam:
         assert np.array_equal(state.v, v)
         # far from zero-gradient points, the first step has size ~ lr
         assert np.abs(a - flat).max() == pytest.approx(lr, rel=1e-4)
+
+    @pytest.mark.parametrize("size", [1, 2**14 - 1, 2**14, 2**14 + 1, 190_072])
+    def test_blocks_keep_the_bits_of_one_pass(self, rng, size):
+        lr, b1, b2, eps = 0.001, 0.9, 0.999, 1e-8
+        flat = rng.standard_normal(size)
+        ref, m, v = flat.copy(), np.zeros(size), np.zeros(size)
+        state = init_adam(flat)
+        for t in range(1, 6):
+            g = rng.standard_normal(size)
+            adam_step(flat, g, state, lr, b1, b2, eps)
+            # the update as one whole-array pass per statement
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            ref -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+            assert state.t == t
+            assert np.array_equal(flat, ref)
+            assert np.array_equal(state.m, m)
+            assert np.array_equal(state.v, v)
+
+    @pytest.mark.parametrize("short", ["grad", "m", "v"])
+    def test_a_size_mismatch_moves_nothing(self, rng, short):
+        size = 2**14 + 5  # two blocks, so a check made late would move the first
+        flat = rng.standard_normal(size)
+        state = init_adam(flat)
+        adam_step(flat, rng.standard_normal(size), state)
+        grad = rng.standard_normal(size)
+        if short == "grad":
+            grad = grad[:-1]
+        else:
+            setattr(state, short, getattr(state, short)[:-1].copy())
+        before = [flat.copy(), state.m.copy(), state.v.copy()]
+        name = short if short == "grad" else f"state.{short}"
+        match = rf"^{name} has shape \({size - 1},\), flat \({size},\)$"
+        with pytest.raises(ValueError, match=match):
+            adam_step(flat, grad, state)
+        assert state.t == 1
+        for after, old in zip([flat, state.m, state.v], before):
+            assert np.array_equal(after, old)
 
     def test_minimizes_quadratic_bowl(self):
         flat = np.array([3.0, -2.0, 0.5])

@@ -261,8 +261,9 @@ class TestTrainLoop:
 
 
 # Values that used to pass validation: a negative cap silently dropped the
-# last validation row, a zero cap failed in the distance layer, and the
-# rest surfaced as a diverging run.
+# last validation row, a zero cap failed in the distance layer, a float size
+# raised a bare TypeError or failed in slicing or seeding, epochs=True trained
+# one epoch, and the rest surfaced as a diverging run.
 NAMED_REJECTIONS = [
     ("valid_cap", 0),
     ("valid_cap", -1),
@@ -281,6 +282,14 @@ NAMED_REJECTIONS = [
     ("seed", -1),
     ("encoder_hidden", (0,)),
     ("decoder_hidden", (8, -2)),
+    ("latent_dim", 2.0),
+    ("batch_size", 16.0),
+    ("epochs", 1.0),
+    ("epochs", True),
+    ("seed", 1.5),
+    ("valid_cap", 10.5),
+    ("encoder_hidden", (8.0,)),
+    ("decoder_hidden", (8, True)),
 ]
 
 
@@ -317,6 +326,11 @@ class TestConfigValidation:
         # a bad value is a config error, not a run that diverges at step 1 or 2
         with pytest.raises(ValueError, match=f"^{field} must"):
             validate_config(self.good(**{field: value}))
+
+
+    def test_numpy_integers_are_integers(self):
+        config = self.good(latent_dim=np.int64(2), epochs=np.int32(1), encoder_hidden=(np.int64(8),))
+        validate_config(config)
 
 
 class TestConfigText:
