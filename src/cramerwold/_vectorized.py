@@ -18,7 +18,8 @@ themselves; the gradient evaluates the asymptotic profile on the arguments
 the sums use and differentiates it as -(2/(2D-3)) phi**3.  The Monte Carlo
 evaluators run NumPy's SIMD ``exp`` over contiguous (points, directions)
 strips, in direction chunks shared by threads on every CPU the process may
-use; no value depends on its thread.
+use; no value depends on its thread.  The streamed evaluator also draws,
+normalises and projects each chunk's directions on its thread.
 """
 
 import functools
@@ -305,10 +306,10 @@ def _mc_self_sums(a, q, buf):
     return a.shape[0] + 2.0 * acc
 
 
-def _each_chunk(chunk, total, width):
-    """Call ``chunk(lo)`` for each lo in range(0, total, width) on the caller and
-    one helper thread per other usable CPU (none for one chunk).  The helpers
-    are joined before this returns; the first error any thread raised is raised."""
+def _each_chunk(chunk, total, width, draw=None):
+    """Call ``chunk(lo)``, or ``chunk(lo, draw(lo))`` drawing in order under the lock, for
+    each lo in range(0, total, width) on the caller and one helper thread per other usable
+    CPU (none for one chunk), joined before this returns; the first error raised is raised."""
     starts = range(0, total, width)
     pending = iter(starts)
     lock = threading.Lock()
@@ -319,9 +320,10 @@ def _each_chunk(chunk, total, width):
             while not errors:
                 with lock:
                     lo = next(pending, None)
+                    drawn = () if lo is None or draw is None else (draw(lo),)
                 if lo is None:
                     return
-                chunk(lo)
+                chunk(lo, *drawn)
         except BaseException as exc:
             errors.append(exc)
 
@@ -340,62 +342,89 @@ def _each_chunk(chunk, total, width):
         raise errors[0]
 
 
-def mc_pair_values(px, py, gamma):
-    """Per-direction smoothed L2 distances between two projected samples.
-
-    ``px``/``py`` hold one direction per row.  Each chunk of directions is
-    transposed to a (points, directions) layout and the pair sums are built
-    from contiguous strips, one point against the rest, in a reused buffer.
-    """
-    ndir, n = px.shape
-    k = py.shape[1]
+def _mc_pair_chunk(pa, pb, gamma):
+    """Values of the directions in the rows of ``pa``/``pb``, from (points, directions) strips."""
+    n, k = pa.shape[1], pb.shape[1]
     q = 1.0 / (4.0 * gamma)
     c0 = 1.0 / (2.0 * math.sqrt(math.pi * gamma))
-    inv_nn = 1.0 / (n * n)
-    inv_kk = 1.0 / (k * k)
-    inv_nk = 1.0 / (n * k)
-    vals = np.empty(ndir)
-    width = max(1, _MC_STRIP_ELEMS // max(n, k))
-    def chunk(lo):
-        a = np.ascontiguousarray(px[lo:lo + width].T)
-        b = np.ascontiguousarray(py[lo:lo + width].T)
-        buf = np.empty((max(n, k), a.shape[1]))
-        sxx = _mc_self_sums(a, q, buf)
-        syy = _mc_self_sums(b, q, buf)
-        sxy = np.zeros(a.shape[1])
-        for i in range(n):
-            _mc_strip_add(b, a[i], q, buf, sxy)
-        v = c0 * (sxx * inv_nn + syy * inv_kk - 2.0 * (sxy * inv_nk))
-        if n == k:
-            # Where both projected samples coincide the distance is exactly
-            # 0; the self and cross sums need not cancel in the last ulp.
-            v[(a == b).all(axis=0)] = 0.0
-        vals[lo:lo + width] = np.maximum(v, 0.0)
-
-    _each_chunk(chunk, ndir, width)
-    return vals
+    a = np.ascontiguousarray(pa.T)
+    b = np.ascontiguousarray(pb.T)
+    buf = np.empty((max(n, k), a.shape[1]))
+    sxx = _mc_self_sums(a, q, buf)
+    syy = _mc_self_sums(b, q, buf)
+    sxy = np.zeros(a.shape[1])
+    for i in range(n):
+        _mc_strip_add(b, a[i], q, buf, sxy)
+    v = c0 * (sxx * (1.0 / (n * n)) + syy * (1.0 / (k * k)) - 2.0 * (sxy * (1.0 / (n * k))))
+    if n == k:
+        # Where both projected samples coincide the distance is exactly
+        # 0; the self and cross sums need not cancel in the last ulp.
+        v[(a == b).all(axis=0)] = 0.0
+    return np.maximum(v, 0.0)
 
 
-def mc_normal_values(px, gamma):
-    """Per-direction smoothed L2 distances between a projected sample and N(0,1)."""
-    ndir, n = px.shape
+def _mc_normal_chunk(pa, gamma):
+    n = pa.shape[1]
     q = 1.0 / (4.0 * gamma)
     c0 = 1.0 / (2.0 * math.sqrt(math.pi * gamma))
     prior_self = 1.0 / (2.0 * math.sqrt(math.pi * (1.0 + gamma)))
     cross_var = 1.0 + 2.0 * gamma
     cross_c = 1.0 / math.sqrt(2.0 * math.pi * cross_var)
-    inv_nn = 1.0 / (n * n)
-    vals = np.empty(ndir)
-    width = max(1, _MC_STRIP_ELEMS // n)
-    def chunk(lo):
-        a = np.ascontiguousarray(px[lo:lo + width].T)
-        s_self = _mc_self_sums(a, q, np.empty_like(a))
-        across = a * a
-        across *= -1.0 / (2.0 * cross_var)
-        np.exp(across, out=across)
-        s_cross = across.sum(axis=0)
-        v = c0 * (s_self * inv_nn) + prior_self - (2.0 / n) * cross_c * s_cross
-        vals[lo:lo + width] = np.maximum(v, 0.0)
+    a = np.ascontiguousarray(pa.T)
+    s_self = _mc_self_sums(a, q, np.empty_like(a))
+    across = a * a
+    across *= -1.0 / (2.0 * cross_var)
+    np.exp(across, out=across)
+    s_cross = across.sum(axis=0)
+    v = c0 * (s_self * (1.0 / (n * n))) + prior_self - (2.0 / n) * cross_c * s_cross
+    return np.maximum(v, 0.0)
 
-    _each_chunk(chunk, ndir, width)
+
+def _mc_rows(body, rows, gamma):
+    # body over chunks of directions whose strips stay in L2; a one-direction tail joins
+    # the chunk before it, as NumPy sums a one-column strip pairwise, wider ones by rows
+    vals = np.empty(len(rows[0]))
+    width = max(1, _MC_STRIP_ELEMS // max(r.shape[1] for r in rows))
+    def chunk(lo):
+        hi = vals.size if vals.size - lo == width + 1 else lo + width
+        vals[lo:hi] = body(*(r[lo:hi] for r in rows), gamma)
+
+    _each_chunk(chunk, max(1, vals.size - 1), width)
+    return vals
+
+
+def mc_pair_values(px, py, gamma):
+    """Per-direction smoothed L2 distances between two projected samples, one direction per row."""
+    return _mc_rows(_mc_pair_chunk, (px, py), gamma)
+
+
+def mc_normal_values(px, gamma):
+    """Per-direction smoothed L2 distances between a projected sample and N(0,1)."""
+    return _mc_rows(_mc_normal_chunk, (px,), gamma)
+
+
+def _unit_rows(v):
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v
+
+
+def mc_direction_values(samples, gamma, ndir, rng):
+    """``mc_pair_values`` of two samples, or ``mc_normal_values`` of one, on ``ndir`` unit
+    directions, the normalised rows of ``rng.standard_normal``: chunks draw in order under the
+    lock (consecutive pieces of one stream), then normalise, project and sum on their threads.
+    Chunks and their row blocks are near-equal with over 1,200 rows x points, where OpenBLAS
+    rounds as one whole product does, and blocks under 2**18 multiply-adds run unthreaded."""
+    (n_lo, n_hi), dim = sorted((len(samples[0]), len(samples[-1]))), samples[0].shape[1]
+    least = 2 + 2400 // n_lo  # rows, so that half a block still has over 1,200 products
+    parts = max(1, min(-(-ndir // max(1, _MC_STRIP_ELEMS // n_hi)), ndir // least))
+    bounds = [ndir * i // parts for i in range(parts + 1)]
+    rows = max((1 << 18) // (n_hi * dim), least)  # bigger ones wake OpenBLAS threads, which spin
+    body = _mc_pair_chunk if len(samples) == 2 else _mc_normal_chunk
+    vals = np.empty(ndir)
+    def chunk(i, v):
+        blocks = np.array_split(_unit_rows(v), -(-len(v) // rows))
+        proj = (np.concatenate([b @ s.T for b in blocks]) for s in samples)
+        vals[bounds[i]:bounds[i + 1]] = body(*proj, gamma)
+
+    _each_chunk(chunk, parts, 1, lambda i: rng.standard_normal((bounds[i + 1] - bounds[i], dim)))
     return vals

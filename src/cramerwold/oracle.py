@@ -6,6 +6,10 @@ squared L2 distance between the Gaussian-smoothed 1-D projections in closed
 form (plain 1-D Gaussian algebra, never the profile function), and average
 over directions.  Directions come from a counter-based Philox stream and no
 value depends on the thread count, so runs are reproducible on any platform.
+The two sample estimators draw, normalise and project their directions one
+chunk at a time on the threads that sum the chunk, taking consecutive pieces
+of the stream, so their memory is bounded by the chunk size, not by the
+direction count, and each value equals the one a whole draw gives.
 """
 
 import math
@@ -14,7 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
+from ._vectorized import _unit_rows, mc_direction_values
 from .distance import RadialGaussian, _check_gamma, _radial_means, _samples
+from .phi import _integer
 
 
 class McEstimate(NamedTuple):
@@ -22,18 +28,21 @@ class McEstimate(NamedTuple):
     std_error: float
 
 
+def _check_draw(num_directions, seed, least):
+    for name, value, low in (("num_directions", num_directions, least), ("seed", seed, 0)):
+        if _integer(value) is None:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 def sample_directions(num_directions, dim, seed):
     """Unit vectors uniform on the sphere: normalized i.i.d. normals, Philox-seeded."""
-    if num_directions < 1:
-        raise ValueError(f"num_directions must be >= 1, got {num_directions}")
+    _check_draw(num_directions, seed, 1)
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.Philox(seed))
-    v = rng.standard_normal((num_directions, dim))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return v
+    return _unit_rows(rng.standard_normal((num_directions, dim)))
 
 
 def l2_smoothed_1d(a, b, gamma):
@@ -54,13 +63,8 @@ def l2_smoothed_1d(a, b, gamma):
     return float(kernels.mc_pair_values(a[None, :], b[None, :], gamma)[0])
 
 
-def _summarize(vals):
-    est = float(vals.mean())
-    if vals.size > 1:
-        se = float(vals.std(ddof=1) / math.sqrt(vals.size))
-    else:
-        se = float("nan")
-    return McEstimate(est, se)
+def _summarize(vals):  # at least two directions
+    return McEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size)))
 
 
 def cw2_monte_carlo(x, y, num_directions, seed, gamma=None):
@@ -71,12 +75,9 @@ def cw2_monte_carlo(x, y, num_directions, seed, gamma=None):
     the per-direction value is exactly 0.
     """
     x, y, gamma = _samples(x, y, gamma)
-    if num_directions < 2:
-        raise ValueError(f"num_directions must be >= 2, got {num_directions}")
-    v = sample_directions(num_directions, x.shape[1], seed)
-    px = v @ x.T
-    py = v @ y.T
-    return _summarize(kernels.mc_pair_values(px, py, gamma))
+    _check_draw(num_directions, seed, 2)
+    rng = np.random.Generator(np.random.Philox(seed))
+    return _summarize(mc_direction_values((x, y), gamma, num_directions, rng))
 
 
 def cw2_normal_monte_carlo(x, num_directions, seed, gamma=None):
@@ -86,11 +87,9 @@ def cw2_normal_monte_carlo(x, num_directions, seed, gamma=None):
     direction contributes the smoothed 1-D distance to N(0, 1 + gamma).
     """
     x, _, gamma = _samples(x, None, gamma)
-    if num_directions < 2:
-        raise ValueError(f"num_directions must be >= 2, got {num_directions}")
-    v = sample_directions(num_directions, x.shape[1], seed)
-    px = v @ x.T
-    return _summarize(kernels.mc_normal_values(px, gamma))
+    _check_draw(num_directions, seed, 2)
+    rng = np.random.Generator(np.random.Philox(seed))
+    return _summarize(mc_direction_values((x,), gamma, num_directions, rng))
 
 
 def radial_product_monte_carlo(a: RadialGaussian, b: RadialGaussian, gamma, num_directions, seed):
@@ -100,8 +99,7 @@ def radial_product_monte_carlo(a: RadialGaussian, b: RadialGaussian, gamma, num_
     L2 product of the two smoothed projections is N(v.(x-y), alpha+beta+2*gamma)(0).
     Validates the closed form of ``cw_scalar_product_radial``.
     """
-    if num_directions < 2:
-        raise ValueError(f"num_directions must be >= 2, got {num_directions}")
+    _check_draw(num_directions, seed, 2)
     gamma = _check_gamma(gamma)
     ma, mb = _radial_means(a, b)
     t = a.variance_scale + b.variance_scale + 2.0 * gamma

@@ -241,6 +241,9 @@ def train(config, train_data, valid_data):
                 beta2=config.beta2,
                 epsilon=config.adam_epsilon,
             )
+        # 0.9 x the smallest subnormals rounds back to them: dead units' moments never decay
+        for moment in (state.m, state.v):
+            moment[np.abs(moment) < np.finfo(np.float64).tiny] = 0.0
         records.append(_record(epoch, params, valid_x, config))
     return params, records
 

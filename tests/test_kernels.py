@@ -1,5 +1,6 @@
 """Tests of the pairwise and Monte Carlo kernels against direct formulas."""
 
+import itertools
 import math
 import os
 import sys
@@ -8,7 +9,14 @@ import threading
 import numpy as np
 import pytest
 
-from cramerwold import _vectorized, cw2_sample_normal, cw2_sample_sample, kernels
+from cramerwold import (
+    _vectorized,
+    cw2_monte_carlo,
+    cw2_normal_monte_carlo,
+    cw2_sample_normal,
+    cw2_sample_sample,
+    kernels,
+)
 from cramerwold._vectorized import MODE_ASYMPTOTIC, MODE_BESSEL2, MODE_EXACT
 from cramerwold.oracle import l2_smoothed_1d
 from cramerwold.phi import PhiMode
@@ -272,13 +280,22 @@ class TestMcChunkThreads:
         chunks = self.one_chunk_calls(lambda a: _vectorized.mc_normal_values(a, 0.35), px)
         assert np.all(whole == chunks)
 
-    @pytest.mark.parametrize("target", ["sample", "normal"])
+    def streamed(self, target, x, ndir):
+        # the oracle's estimators, which draw and project each chunk on its thread
+        if target == "sample":
+            return cw2_monte_carlo(x, x + 0.5, ndir, seed=5, gamma=0.35)
+        return cw2_normal_monte_carlo(x, ndir, seed=5, gamma=0.35)
+
+    @pytest.mark.parametrize("target", ["sample", "normal", "streamed sample", "streamed normal"])
     def test_error_in_a_chunk_reaches_the_caller(self, rng, monkeypatch, target):
         px = rng.standard_normal((self.NDIR, 64))
         real = _vectorized._mc_self_sums
+        calls = itertools.count()
 
         def failing(a, q, buf):
             if a[0, 0] == px[self.WIDTH, 0]:  # the self-sum of px's second chunk
+                raise FloatingPointError("second chunk")
+            if target.startswith("streamed") and next(calls) == 2:  # a chunk after the first
                 raise FloatingPointError("second chunk")
             return real(a, q, buf)
 
@@ -287,11 +304,14 @@ class TestMcChunkThreads:
         with pytest.raises(FloatingPointError, match="second chunk"):
             if target == "sample":
                 _vectorized.mc_pair_values(px, px + 0.5, 0.35)
-            else:
+            elif target == "normal":
                 _vectorized.mc_normal_values(px, 0.35)
+            else:
+                self.streamed(target.split()[1], px[:64], self.NDIR)
         assert threading.active_count() == before
 
-    def test_threads_never_outnumber_cpus(self, rng, monkeypatch):
+    @pytest.mark.parametrize("streamed", [False, True], ids=["kernels", "streamed"])
+    def test_threads_never_outnumber_cpus(self, rng, monkeypatch, streamed):
         started = []
         seen = []
         real_thread = threading.Thread
@@ -309,16 +329,25 @@ class TestMcChunkThreads:
         monkeypatch.setattr(_vectorized, "_mc_self_sums", watching)
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         before = threading.active_count()
-        _vectorized.mc_normal_values(rng.standard_normal((self.NDIR, 64)), 0.35)
+        if streamed:  # 3089 directions in four near-equal chunks
+            self.streamed("normal", rng.standard_normal((64, 64)), self.NDIR)
+        else:
+            _vectorized.mc_normal_values(rng.standard_normal((self.NDIR, 64)), 0.35)
         assert len(started) == min(cpus, 4) - 1
         assert max(seen) <= before + cpus - 1
         assert threading.active_count() == before
 
-    def test_one_chunk_starts_no_thread(self, rng, monkeypatch):
+    @pytest.mark.parametrize("streamed", [False, True], ids=["kernels", "streamed"])
+    def test_one_chunk_starts_no_thread(self, rng, monkeypatch, streamed):
         def no_thread(*args, **kwargs):
             raise AssertionError("a one-chunk call started a thread")
 
         monkeypatch.setattr(threading, "Thread", no_thread)
+        if streamed:
+            x = rng.standard_normal((64, 64))
+            assert self.streamed("sample", x, self.WIDTH).estimate > 0.0
+            assert self.streamed("normal", x, self.WIDTH).estimate > 0.0
+            return
         px = rng.standard_normal((self.WIDTH, 64))
         _vectorized.mc_pair_values(px, px + 0.5, 0.35)
         _vectorized.mc_normal_values(px, 0.35)

@@ -8,13 +8,18 @@ the identical value).
 """
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cramerwold import (
+    RadialGaussian,
+    _vectorized,
     cw2_monte_carlo,
     cw2_normal_monte_carlo,
+    radial_product_monte_carlo,
     sample_directions,
     silverman_gamma,
 )
@@ -162,3 +167,85 @@ class TestPairEstimator:
                 num_directions=10,
                 seed=0,
             )
+
+
+def whole_array_route(x, y, num_directions, seed, gamma):
+    """Every direction drawn and projected at once, then the per-direction kernels."""
+    v = sample_directions(num_directions, x.shape[1], seed)
+    if y is None:
+        vals = _vectorized.mc_normal_values(v @ x.T, gamma)
+    else:
+        vals = _vectorized.mc_pair_values(v @ x.T, v @ y.T, gamma)
+    return (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(num_directions)))
+
+
+class TestStreamedDirections:
+    # 1023-1025, 2049 and 3089 put the kernels' 1024-direction chunks around a
+    # boundary or leave a short tail; 9000 spans several chunks at every n.  At
+    # dim 300, and with 2 points against 64, the projection blocks and chunks
+    # are sized by rows x points, not by dim or by the larger sample.
+    NDIRS = (2, 35, 1023, 1024, 1025, 1034, 2049, 3089, 9000)
+
+    @pytest.mark.parametrize("n, k", [(64, 64), (40, 64), (10, 7), (2, 64)])
+    @pytest.mark.parametrize("dim", [2, 5, 64, 100, 300])
+    def test_estimates_equal_the_whole_array_route(self, dim, n, k):
+        r = np.random.default_rng(1900 + dim)
+        x = r.standard_normal((n, dim))
+        y = r.standard_normal((k, dim)) * 1.3 + 0.2
+        for ndir in self.NDIRS:
+            seed = ndir + dim
+            got = cw2_monte_carlo(x, y, ndir, seed, gamma=0.35)
+            assert tuple(got) == whole_array_route(x, y, ndir, seed, 0.35), ("pair", ndir)
+            got = cw2_normal_monte_carlo(x, ndir, seed, gamma=0.35)
+            assert tuple(got) == whole_array_route(x, None, ndir, seed, 0.35), ("normal", ndir)
+
+    def test_memory_does_not_grow_with_the_direction_count(self):
+        # all 200,000 directions and projections at once would take about 300 MB
+        r = np.random.default_rng(1907)
+        x = r.standard_normal((64, 64))
+        y = r.standard_normal((64, 64)) + 0.1
+        tracemalloc.start()
+        try:
+            cw2_monte_carlo(x, y, 200_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+def radial_call(num, seed):
+    a = RadialGaussian(mean=np.full(5, 0.2), variance_scale=0.3)
+    b = RadialGaussian(mean=np.zeros(5), variance_scale=0.1)
+    return radial_product_monte_carlo(a, b, 0.5, num, seed)
+
+
+ESTIMATORS = {
+    "sample_directions": lambda num, seed: sample_directions(num, 5, seed),
+    "cw2_monte_carlo": lambda num, seed: cw2_monte_carlo(
+        np.eye(4, 5), np.eye(4, 5) + 0.5, num, seed),
+    "cw2_normal_monte_carlo": lambda num, seed: cw2_normal_monte_carlo(np.eye(4, 5), num, seed),
+    "radial_product_monte_carlo": radial_call,
+}
+
+
+class TestIntegerArguments:
+    # before, a float count raised a bare TypeError, a float seed failed inside
+    # SeedSequence and seed=True ran as seed 1
+    @pytest.mark.parametrize("name, value", [
+        ("num_directions", 100.0),
+        ("num_directions", True),
+        ("seed", 1.5),
+        ("seed", True),
+    ])
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    def test_non_integer_is_named(self, estimator, name, value):
+        args = {"num": 100, "seed": 4}
+        args["num" if name == "num_directions" else "seed"] = value
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            ESTIMATORS[estimator](**args)
+
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    def test_numpy_integers_are_integers(self, estimator):
+        got = ESTIMATORS[estimator](np.int64(100), np.uint32(4))
+        want = ESTIMATORS[estimator](100, 4)
+        assert np.array_equal(got, want)

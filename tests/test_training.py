@@ -249,6 +249,24 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=f"^{field} must"):
             train(self.small_config(**{field: value}), data, data[:16])
 
+    def test_subnormal_adam_moments_are_flushed_after_each_epoch(self, rng, monkeypatch):
+        # 0.9 x the smallest subnormal rounds back to it, so unflushed it would stay
+        data = self.make_data(rng)  # 64 rows in batches of 8: 8 steps per epoch
+        real = mlp.adam_step
+        seen = []
+
+        def planting(flat, grad, state, **kwargs):
+            seen.append((state.m[0], state.v[1]))
+            real(flat, grad, state, **kwargs)
+            if len(seen) == 8:
+                state.m[0] = -5e-324
+                state.v[1] = 1e-310
+
+        monkeypatch.setattr(mlp, "adam_step", planting)
+        train(self.small_config(), data, data[:16])
+        assert len(seen) == 16
+        assert seen[8] == (0.0, 0.0)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_diverging_run_stops_naming_epoch_and_step(self, rng):
