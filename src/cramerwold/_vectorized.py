@@ -423,7 +423,10 @@ def mc_direction_values(samples, gamma, ndir, rng):
     vals = np.empty(ndir)
     def chunk(i, v):
         blocks = np.array_split(_unit_rows(v), -(-len(v) // rows))
-        proj = (np.concatenate([b @ s.T for b in blocks]) for s in samples)
+        proj = [np.empty((len(v), len(s))) for s in samples]
+        for s, p in zip(samples, proj):
+            for b, out in zip(blocks, np.array_split(p, len(blocks))):
+                np.matmul(b, s.T, out=out)
         vals[bounds[i]:bounds[i + 1]] = body(*proj, gamma)
 
     _each_chunk(chunk, parts, 1, lambda i: rng.standard_normal((bounds[i + 1] - bounds[i], dim)))

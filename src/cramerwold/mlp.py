@@ -8,7 +8,9 @@ float64 buffer, ``MlpParams.flat``: each layer's row-major ``W`` and then its
 ``[W, b]`` entries are views into that buffer, a gradient is one array with
 the same layout, and Adam updates the buffer in place.  Adam, ``encode`` and
 ``decode`` run in blocks that stay in a 2 MiB L2 and give the bits of one
-whole-array pass; ``encode`` and ``decode`` keep no layer caches.
+whole-array pass; ``encode`` and ``decode`` keep no layer caches.  A training
+pass caches only each layer's input, the one array per layer its backward
+pass reads: the ReLU mask is taken from the next layer's input.
 """
 
 from dataclasses import dataclass
@@ -87,13 +89,15 @@ def _sigmoid(x):
 
 
 def _forward_stack(layers, h, final_activation):
-    """Returns (output, caches); caches hold (layer input, preactivation)."""
+    """Returns (output, caches); caches are the layer inputs, all backprop reads
+    (a ReLU output is positive exactly where its preactivation is)."""
     caches = []
     for idx, (w, b) in enumerate(layers):
-        pre = h @ w + b
-        caches.append((h, pre))
+        caches.append(h)
+        pre = h @ w
+        pre += b
         if idx < len(layers) - 1:
-            h = np.maximum(pre, 0.0)
+            h = np.maximum(pre, 0.0, out=pre)
         elif final_activation == "sigmoid":
             h = _sigmoid(pre)
         else:
@@ -107,13 +111,12 @@ def _backward_stack(layers, caches, final_activation, output, dout, grads, input
     None without computing it when ``input_grad`` is false."""
     dh = dout
     for idx in range(len(layers) - 1, -1, -1):
-        h_in, pre = caches[idx]
         if idx == len(layers) - 1:
             dpre = dh * output * (1.0 - output) if final_activation == "sigmoid" else dh
         else:
-            dpre = dh * (pre > 0.0)
+            dpre = dh * (caches[idx + 1] > 0.0)
         gw, gb = grads[idx]
-        np.matmul(h_in.T, dpre, out=gw)
+        np.matmul(caches[idx].T, dpre, out=gw)
         dpre.sum(axis=0, out=gb)
         if idx == 0 and not input_grad:
             return None

@@ -60,7 +60,8 @@ def l2_smoothed_1d(a, b, gamma):
         if not np.isfinite(sample).all():
             raise ValueError(f"{name} contains non-finite values")
     gamma = _check_gamma(gamma)
-    return float(kernels.mc_pair_values(a[None, :], b[None, :], gamma)[0])
+    # as two equal directions: a one-column strip would be summed pairwise, a wider one by rows
+    return float(kernels.mc_pair_values(np.stack((a, a)), np.stack((b, b)), gamma)[0])
 
 
 def _summarize(vals):  # at least two directions

@@ -159,7 +159,12 @@ def _record(epoch, params, valid, config):
     z = mlp.encode(params, valid)
     if not np.isfinite(z).all():
         raise ValueError(f"training diverged at epoch {epoch}: the validation codes are not finite")
-    rec = mlp.mse(valid, mlp.decode(params, z))
+    # Decoded and compared on decode's own row blocks, so no whole reconstruction
+    # or difference is held; each row's sum, and so their mean, keeps mse's bits.
+    parts = -(-len(z) // mlp._ROWS)
+    blocks = zip(np.array_split(valid, parts), np.array_split(z, parts))
+    diffs = (v - mlp.decode(params, c) for v, c in blocks)
+    rec = float(np.concatenate([np.einsum("ij,ij->i", d, d) for d in diffs]).mean())
     report = cw2_sample_normal(z, mode=PhiMode.ASYMPTOTIC)
     stats = mardia(z)
     return TrainRecord(
@@ -241,6 +246,7 @@ def train(config, train_data, valid_data):
                 beta2=config.beta2,
                 epsilon=config.adam_epsilon,
             )
+            del grad  # the next step's gradient is built without this one alive
         # 0.9 x the smallest subnormals rounds back to them: dead units' moments never decay
         for moment in (state.m, state.v):
             moment[np.abs(moment) < np.finfo(np.float64).tiny] = 0.0

@@ -206,6 +206,15 @@ class TestMcKernels:
         for d in range(6):
             assert vals[d] == pytest.approx(l2_smoothed_1d(px[d], py[d], 0.5), rel=1e-12)
 
+    def test_single_direction_calls_keep_the_bits_of_their_row(self, rng):
+        # a one-column strip summed pairwise differed from its row in over half these calls
+        for shift in (0.0, 0.3, 1.5):
+            px = rng.standard_normal((50, 63))
+            py = rng.standard_normal((50, 63)) + shift
+            vals = _vectorized.mc_pair_values(px, py, 0.4)
+            for d in range(50):
+                assert l2_smoothed_1d(px[d], py[d], 0.4) == vals[d]
+
     def test_normal_values_match_gaussian_algebra(self, rng):
         # mixture of N(a_i, g) vs N(0, 1 + g): all three L2 cross terms are
         # centered Gaussian densities evaluated at the pairwise offsets

@@ -3,6 +3,7 @@
 import csv
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,11 +18,12 @@ from cramerwold import (
     silverman_gamma,
     train,
 )
-from cramerwold import mlp
+from cramerwold import kernels, mlp
 from cramerwold.phi import PhiMode
 from cramerwold.training import (
     CSV_COLUMNS,
     _clip_grads,
+    _record,
     config_from_text,
     config_to_text,
     records_to_csv,
@@ -146,6 +148,97 @@ class TestGradients:
     def test_clip_leaves_small_gradients_alone(self, rng):
         grad = rng.standard_normal(9) * 1e-6
         assert _clip_grads(grad, 100.0) is grad
+
+
+def reference_grad(x, params):
+    """``cost_and_grad``'s cwae gradient by textbook backprop: each layer keeps its
+    input and preactivation, and a ReLU passes the gradient where the preactivation is > 0."""
+
+    def forward(layers, h, final):
+        caches = []
+        for idx, (w, b) in enumerate(layers):
+            pre = h @ w + b
+            caches.append((h, pre))
+            if idx < len(layers) - 1:
+                h = np.maximum(pre, 0.0)
+            else:
+                h = mlp._sigmoid(pre) if final == "sigmoid" else pre
+        return h, caches
+
+    def backward(layers, caches, final, out, dh, grads):
+        for idx in range(len(layers) - 1, -1, -1):
+            h, pre = caches[idx]
+            if idx < len(layers) - 1:
+                dpre = dh * (pre > 0.0)
+            else:
+                dpre = dh * out * (1.0 - out) if final == "sigmoid" else dh
+            np.matmul(h.T, dpre, out=grads[idx][0])
+            dpre.sum(axis=0, out=grads[idx][1])
+            dh = dpre @ layers[idx][0].T
+        return dh
+
+    act = params.output_activation
+    z, enc = forward(params.encoder, x, "identity")
+    xhat, dec = forward(params.decoder, z, act)
+    grad = params.like(np.empty_like(params.flat))
+    dz = backward(params.decoder, dec, act, xhat, (2.0 / len(x)) * (xhat - x), grad.decoder)
+    if np.isfinite(z).all():
+        cw = cw2_sample_normal(z, mode=PhiMode.ASYMPTOTIC)
+        if cw.squared_distance > 1e-12:
+            dz = dz + (1.0 / cw.squared_distance) * kernels.cw_normal_asym_grad(z, cw.gamma)
+    backward(params.encoder, enc, "identity", z, dz, grad.encoder)
+    return grad.flat
+
+
+class TestBitsOfTheMemoryCuts:
+    """Backprop reads only the layer inputs and the record decodes by blocks,
+    with the bits of preactivation caches and of one whole-set ``mse``."""
+
+    @pytest.mark.parametrize("activation", ["identity", "sigmoid"])
+    @pytest.mark.parametrize("batch", ["generic", "zero_rows", "nan"])
+    def test_gradient_is_the_preactivation_backprop(self, rng, activation, batch):
+        params = mlp.init_mlp(6, 3, (16, 12), (12, 16), activation, rng)
+        x = rng.standard_normal((32, 6))
+        if batch == "generic":
+            params = nudged(params, rng)
+        elif batch == "zero_rows":
+            x[::2] = 0.0  # with zero biases every preactivation of these rows is exactly 0
+        else:
+            x[5, 2] = math.nan
+        grad, _ = cost_and_grad(x, params)
+        assert np.array_equal(grad.view(np.int64), reference_grad(x, params).view(np.int64))
+
+    @pytest.mark.parametrize("activation", ["identity", "sigmoid"])
+    @pytest.mark.parametrize("n", [1, 7, 255, 256, 257, 3072])
+    def test_record_error_is_the_whole_set_mse(self, rng, activation, n):
+        params = nudged(mlp.init_mlp(64, 8, (200,), (200,), activation, rng), rng)
+        valid = rng.standard_normal((n, 64))
+        record = _record(1, params, valid, TrainConfig(latent_dim=8, batch_size=2, epochs=1))
+        assert record.rec_error == mlp.mse(valid, mlp.reconstruct(params, valid))
+
+    def test_epoch_peak_is_what_backprop_needs(self):
+        # the train benchmark's shape; every array below holds float64s
+        input_dim, latent, hidden, batch = 64, 8, (200, 200, 200), 128
+        enc, dec = [input_dim, *hidden, latent], [latent, *hidden, input_dim]
+        shapes = list(zip(enc[:-1], enc[1:])) + list(zip(dec[:-1], dec[1:]))
+        size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
+        # the parameters, two Adam moments and one gradient; one batch's layer
+        # inputs and output; 2 MiB for backward's temporaries and the latent tile
+        widths = sum(fan_in for fan_in, _ in shapes) + input_dim
+        bound = 8 * 4 * size + 8 * batch * widths + 2 * 2**20  # about 9.1 MiB
+        r = np.random.default_rng(2121)
+        data = r.standard_normal((4 * batch, input_dim))
+        valid = r.standard_normal((3072, input_dim))
+        config = TrainConfig(latent_dim=latent, batch_size=batch, epochs=1,
+                             encoder_hidden=hidden, decoder_hidden=hidden)
+        tracemalloc.start()
+        try:
+            train(config, data, valid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured 7.9 MiB; two live gradients and preactivation caches took 10.6 MiB
+        assert peak < bound
 
 
 class TestTrainLoop:
