@@ -16,10 +16,11 @@ their tiles of squared distances from one centred walk.  The kernels take
 gamma and scale pair distances by 1/(4 gamma) and norms by 1/(2 + 4 gamma)
 themselves; the gradient evaluates the asymptotic profile on the arguments
 the sums use and differentiates it as -(2/(2D-3)) phi**3.  The Monte Carlo
-evaluators run NumPy's SIMD ``exp`` over contiguous (points, directions)
-strips, in direction chunks shared by threads on every CPU the process may
-use; no value depends on its thread.  The streamed evaluator also draws,
-normalises and projects each chunk's directions on its thread.
+kernels run NumPy's SIMD ``exp`` over contiguous (points, directions) strips
+in one pass on the calling thread.  The streamed evaluator alone threads: its
+direction chunks, shared by threads on every CPU the process may use, each
+draw, normalise, project and sum on their thread, and no value depends on its
+thread or its chunk.
 """
 
 import functools
@@ -49,10 +50,10 @@ _RESCALE = math.exp(-_RESCALE_LOG)
 # un-blocked Gram matrices).
 _TILE = 128
 _SERIES_POOL = 1 << 18  # tile values (2 MiB) that may wait for one series call
-# Elements per Monte-Carlo strip (points x directions): 512 KiB of float64,
-# which stays in L2 while a strip goes through its subtract, square, scale,
-# exp and sum passes.  n = 64 gets 1024 directions per chunk; measured at
-# n = 64, 1024 beat 256, 512 and 2048 directions per chunk.
+# Elements per streamed Monte-Carlo chunk (points x directions): 512 KiB of
+# float64, which stays in L2 while a strip goes through its subtract, square,
+# scale, exp and sum passes.  n = 64 gets 1024 directions per chunk; measured
+# at n = 64, 1024 beat 256, 512 and 2048 directions per chunk.
 _MC_STRIP_ELEMS = 1 << 16
 
 
@@ -306,12 +307,11 @@ def _mc_self_sums(a, q, buf):
     return a.shape[0] + 2.0 * acc
 
 
-def _each_chunk(chunk, total, width, draw=None):
-    """Call ``chunk(lo)``, or ``chunk(lo, draw(lo))`` drawing in order under the lock, for
-    each lo in range(0, total, width) on the caller and one helper thread per other usable
-    CPU (none for one chunk), joined before this returns; the first error raised is raised."""
-    starts = range(0, total, width)
-    pending = iter(starts)
+def _each_chunk(chunk, total, draw):
+    """Call ``chunk(i, draw(i))`` for each i in range(total), drawing in order under the lock,
+    on the caller and one helper thread per other usable CPU (none for one chunk), joined
+    before this returns; the first error raised is raised."""
+    pending = iter(range(total))
     lock = threading.Lock()
     errors = []
 
@@ -319,16 +319,16 @@ def _each_chunk(chunk, total, width, draw=None):
         try:
             while not errors:
                 with lock:
-                    lo = next(pending, None)
-                    drawn = () if lo is None or draw is None else (draw(lo),)
-                if lo is None:
-                    return
-                chunk(lo, *drawn)
+                    i = next(pending, None)
+                    if i is None:
+                        return
+                    drawn = draw(i)
+                chunk(i, drawn)
         except BaseException as exc:
             errors.append(exc)
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    helpers = [threading.Thread(target=work) for _ in range(min(cpus or 1, len(starts)) - 1)]
+    helpers = [threading.Thread(target=work) for _ in range(min(cpus or 1, total) - 1)]
     try:
         for thread in helpers:
             thread.start()
@@ -342,13 +342,13 @@ def _each_chunk(chunk, total, width, draw=None):
         raise errors[0]
 
 
-def _mc_pair_chunk(pa, pb, gamma):
-    """Values of the directions in the rows of ``pa``/``pb``, from (points, directions) strips."""
-    n, k = pa.shape[1], pb.shape[1]
+def mc_pair_values(px, py, gamma):
+    """Per-direction smoothed L2 distances between two projected samples, one direction per row."""
+    n, k = px.shape[1], py.shape[1]
     q = 1.0 / (4.0 * gamma)
     c0 = 1.0 / (2.0 * math.sqrt(math.pi * gamma))
-    a = np.ascontiguousarray(pa.T)
-    b = np.ascontiguousarray(pb.T)
+    a = np.ascontiguousarray(px.T)
+    b = np.ascontiguousarray(py.T)
     buf = np.empty((max(n, k), a.shape[1]))
     sxx = _mc_self_sums(a, q, buf)
     syy = _mc_self_sums(b, q, buf)
@@ -363,14 +363,15 @@ def _mc_pair_chunk(pa, pb, gamma):
     return np.maximum(v, 0.0)
 
 
-def _mc_normal_chunk(pa, gamma):
-    n = pa.shape[1]
+def mc_normal_values(px, gamma):
+    """Per-direction smoothed L2 distances between a projected sample and N(0,1)."""
+    n = px.shape[1]
     q = 1.0 / (4.0 * gamma)
     c0 = 1.0 / (2.0 * math.sqrt(math.pi * gamma))
     prior_self = 1.0 / (2.0 * math.sqrt(math.pi * (1.0 + gamma)))
     cross_var = 1.0 + 2.0 * gamma
     cross_c = 1.0 / math.sqrt(2.0 * math.pi * cross_var)
-    a = np.ascontiguousarray(pa.T)
+    a = np.ascontiguousarray(px.T)
     s_self = _mc_self_sums(a, q, np.empty_like(a))
     across = a * a
     across *= -1.0 / (2.0 * cross_var)
@@ -378,29 +379,6 @@ def _mc_normal_chunk(pa, gamma):
     s_cross = across.sum(axis=0)
     v = c0 * (s_self * (1.0 / (n * n))) + prior_self - (2.0 / n) * cross_c * s_cross
     return np.maximum(v, 0.0)
-
-
-def _mc_rows(body, rows, gamma):
-    # body over chunks of directions whose strips stay in L2; a one-direction tail joins
-    # the chunk before it, as NumPy sums a one-column strip pairwise, wider ones by rows
-    vals = np.empty(len(rows[0]))
-    width = max(1, _MC_STRIP_ELEMS // max(r.shape[1] for r in rows))
-    def chunk(lo):
-        hi = vals.size if vals.size - lo == width + 1 else lo + width
-        vals[lo:hi] = body(*(r[lo:hi] for r in rows), gamma)
-
-    _each_chunk(chunk, max(1, vals.size - 1), width)
-    return vals
-
-
-def mc_pair_values(px, py, gamma):
-    """Per-direction smoothed L2 distances between two projected samples, one direction per row."""
-    return _mc_rows(_mc_pair_chunk, (px, py), gamma)
-
-
-def mc_normal_values(px, gamma):
-    """Per-direction smoothed L2 distances between a projected sample and N(0,1)."""
-    return _mc_rows(_mc_normal_chunk, (px,), gamma)
 
 
 def _unit_rows(v):
@@ -419,7 +397,7 @@ def mc_direction_values(samples, gamma, ndir, rng):
     parts = max(1, min(-(-ndir // max(1, _MC_STRIP_ELEMS // n_hi)), ndir // least))
     bounds = [ndir * i // parts for i in range(parts + 1)]
     rows = max((1 << 18) // (n_hi * dim), least)  # bigger ones wake OpenBLAS threads, which spin
-    body = _mc_pair_chunk if len(samples) == 2 else _mc_normal_chunk
+    body = mc_pair_values if len(samples) == 2 else mc_normal_values
     vals = np.empty(ndir)
     def chunk(i, v):
         blocks = np.array_split(_unit_rows(v), -(-len(v) // rows))
@@ -429,5 +407,5 @@ def mc_direction_values(samples, gamma, ndir, rng):
                 np.matmul(b, s.T, out=out)
         vals[bounds[i]:bounds[i + 1]] = body(*proj, gamma)
 
-    _each_chunk(chunk, parts, 1, lambda i: rng.standard_normal((bounds[i + 1] - bounds[i], dim)))
+    _each_chunk(chunk, parts, lambda i: rng.standard_normal((bounds[i + 1] - bounds[i], dim)))
     return vals

@@ -36,8 +36,6 @@ Z_LIMIT = 4.0
 def _format_value(value):
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
     return str(value)
 
 

@@ -124,13 +124,17 @@ def _backward_stack(layers, caches, final_activation, output, dout, grads, input
     return dh
 
 
-def _forward_rows(layers, x, final_activation):
-    """The stack's output, over near-equal blocks of at most ``_ROWS`` rows.
+def row_blocks(*arrays):
+    """Tuples of aligned blocks of the arrays' rows: near-equal, at most ``_ROWS`` rows each,
+    the partition ``encode`` and ``decode`` work on.  No block is short: a matmul of 6 rows
+    or fewer rounds differently on OpenBLAS, so a short tail would not keep the bits of one
+    whole call."""
+    return zip(*(np.array_split(a, -(-len(arrays[0]) // _ROWS) or 1) for a in arrays))
 
-    No block is short: a matmul of 6 rows or fewer rounds differently on
-    OpenBLAS, so a short tail would not keep the bits of one whole call."""
-    blocks = np.array_split(x, -(-len(x) // _ROWS) or 1)
-    return np.concatenate([_forward_stack(layers, b, final_activation)[0] for b in blocks])
+
+def _forward_rows(layers, x, final_activation):
+    """The stack's output, computed one ``row_blocks`` block at a time."""
+    return np.concatenate([_forward_stack(layers, b, final_activation)[0] for b, in row_blocks(x)])
 
 
 def encode(params, x):

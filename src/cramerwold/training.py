@@ -161,9 +161,7 @@ def _record(epoch, params, valid, config):
         raise ValueError(f"training diverged at epoch {epoch}: the validation codes are not finite")
     # Decoded and compared on decode's own row blocks, so no whole reconstruction
     # or difference is held; each row's sum, and so their mean, keeps mse's bits.
-    parts = -(-len(z) // mlp._ROWS)
-    blocks = zip(np.array_split(valid, parts), np.array_split(z, parts))
-    diffs = (v - mlp.decode(params, c) for v, c in blocks)
+    diffs = (v - mlp.decode(params, c) for v, c in mlp.row_blocks(valid, z))
     rec = float(np.concatenate([np.einsum("ij,ij->i", d, d) for d in diffs]).mean())
     report = cw2_sample_normal(z, mode=PhiMode.ASYMPTOTIC)
     stats = mardia(z)

@@ -391,6 +391,20 @@ class TestBench:
             run_bench(dim=5, sizes=(32,), repeats=1, warmup=0, seed=-1)
 
     @pytest.mark.parametrize("option, message", [
+        ({"sizes": (1, 32)}, "batch sizes must be >= 2"),
+        ({"warmup": -1}, "warmup must be >= 0"),
+    ])
+    def test_run_bench_rejects_an_out_of_range_option(self, option, message):
+        kwargs = {"dim": 5, "sizes": (16, 32), "repeats": 1, "warmup": 0, **option}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_bench(**kwargs)
+
+    def test_unparseable_sizes_are_named(self, capsys):
+        code, _, err = run_cli(capsys, "bench", "--sizes", "128,x")
+        assert code == 2
+        assert "--sizes: could not parse '128,x'" in err
+
+    @pytest.mark.parametrize("option, message", [
         ({"sizes": (16.0, 32.0)}, "a size must be an integer, got 16.0"),
         ({"sizes": (16, 32.5)}, "a size must be an integer, got 32.5"),
         ({"repeats": 1.5}, "repeats must be an integer, got 1.5"),

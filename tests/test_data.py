@@ -276,6 +276,11 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="means"):
             generate(self.mixture_spec(means=((0.0, 0.0, 0.0), (4.0, 4.0, 4.0))))
 
+    @pytest.mark.parametrize("field, value", [("variances", (1.0,)), ("weights", (0.5, 0.3, 0.2))])
+    def test_rejects_one_entry_per_component_missing(self, field, value):
+        with pytest.raises(ValueError, match="^variances and weights must have one entry per component$"):
+            generate(self.mixture_spec(**{field: value}))
+
     @pytest.mark.parametrize("kind", [GAUSSIAN_MIXTURE, UNIFORM_CUBE])
     def test_rejects_a_negative_seed_by_name(self, kind):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):

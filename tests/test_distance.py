@@ -110,6 +110,8 @@ class TestSampleNormal:
             cw2_sample_normal(np.zeros(5))
         with pytest.raises(ValueError):
             cw2_sample_normal(np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="^x must contain at least one point$"):
+            cw2_sample_normal(np.zeros((0, 5)))
         with pytest.raises(ValueError):
             cw2_sample_normal(np.full((3, 5), np.nan))
         with pytest.raises(ValueError):

@@ -265,7 +265,7 @@ class TestMcKernels:
 
 
 class TestMcChunkThreads:
-    # n = 64 puts 1024 directions in a chunk: three full chunks and 17 more
+    # 1024 directions fill one streamed chunk at n = 64: three such widths and 17 more
     WIDTH = 1024
     NDIR = 3 * 1024 + 17
 
@@ -295,31 +295,24 @@ class TestMcChunkThreads:
             return cw2_monte_carlo(x, x + 0.5, ndir, seed=5, gamma=0.35)
         return cw2_normal_monte_carlo(x, ndir, seed=5, gamma=0.35)
 
-    @pytest.mark.parametrize("target", ["sample", "normal", "streamed sample", "streamed normal"])
+    @pytest.mark.parametrize("target", ["streamed sample", "streamed normal"])
     def test_error_in_a_chunk_reaches_the_caller(self, rng, monkeypatch, target):
-        px = rng.standard_normal((self.NDIR, 64))
+        px = rng.standard_normal((64, 64))
         real = _vectorized._mc_self_sums
         calls = itertools.count()
 
         def failing(a, q, buf):
-            if a[0, 0] == px[self.WIDTH, 0]:  # the self-sum of px's second chunk
-                raise FloatingPointError("second chunk")
-            if target.startswith("streamed") and next(calls) == 2:  # a chunk after the first
+            if next(calls) == 2:  # a chunk after the first
                 raise FloatingPointError("second chunk")
             return real(a, q, buf)
 
         monkeypatch.setattr(_vectorized, "_mc_self_sums", failing)
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="second chunk"):
-            if target == "sample":
-                _vectorized.mc_pair_values(px, px + 0.5, 0.35)
-            elif target == "normal":
-                _vectorized.mc_normal_values(px, 0.35)
-            else:
-                self.streamed(target.split()[1], px[:64], self.NDIR)
+            self.streamed(target.split()[1], px, self.NDIR)
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("streamed", [False, True], ids=["kernels", "streamed"])
+    @pytest.mark.parametrize("streamed", [True], ids=["streamed"])
     def test_threads_never_outnumber_cpus(self, rng, monkeypatch, streamed):
         started = []
         seen = []
@@ -338,10 +331,8 @@ class TestMcChunkThreads:
         monkeypatch.setattr(_vectorized, "_mc_self_sums", watching)
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         before = threading.active_count()
-        if streamed:  # 3089 directions in four near-equal chunks
-            self.streamed("normal", rng.standard_normal((64, 64)), self.NDIR)
-        else:
-            _vectorized.mc_normal_values(rng.standard_normal((self.NDIR, 64)), 0.35)
+        # 3089 directions in four near-equal chunks
+        self.streamed("normal", rng.standard_normal((64, 64)), self.NDIR)
         assert len(started) == min(cpus, 4) - 1
         assert max(seen) <= before + cpus - 1
         assert threading.active_count() == before
@@ -362,17 +353,34 @@ class TestMcChunkThreads:
         _vectorized.mc_normal_values(px, 0.35)
         assert l2_smoothed_1d(px[0], px[1], 0.35) > 0.0
 
+    def test_whole_array_kernels_start_no_thread(self, rng, monkeypatch):
+        # the streamed estimators alone thread; the kernels are one-pass references
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a whole-array kernel started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        px = rng.standard_normal((self.NDIR, 64))
+        assert np.all(_vectorized.mc_pair_values(px, px + 0.5, 0.35) > 0.0)
+        assert np.all(_vectorized.mc_normal_values(px, 0.35) > 0.0)
+
     def test_each_chunk_is_taken_once_under_fast_switching(self, monkeypatch):
         # eight threads on fewer cores, switching every microsecond: every
-        # chunk start is handed out exactly once
+        # chunk index is handed out exactly once, with the piece drawn for it,
+        # and the draws run in index order
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        ran = []
+        drawn, ran = [], []
+
+        def draw(i):
+            drawn.append(i)
+            return -i
+
         before = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            _vectorized._each_chunk(ran.append, 6000, 3)
+            _vectorized._each_chunk(lambda i, piece: ran.append((i, piece)), 2000, draw)
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(ran) == list(range(0, 6000, 3))
+        assert drawn == list(range(2000))
+        assert sorted(ran) == [(i, -i) for i in range(2000)]
         assert threading.active_count() == before

@@ -154,6 +154,16 @@ class TestFlatLayout:
         with pytest.raises(ValueError, match="need 12"):
             params_from_flat(np.zeros(11), [(2, 2)], [(2, 2)])
 
+    @pytest.mark.parametrize("flat", [np.zeros(12, dtype=np.float32), np.zeros(24)[::2]],
+                             ids=["float32", "strided"])
+    def test_rejects_a_buffer_that_views_cannot_share(self, flat):
+        with pytest.raises(ValueError, match="^flat must be a 1-D contiguous float64 array$"):
+            params_from_flat(flat, [(2, 2)], [(2, 2)])
+
+    def test_mse_rejects_a_shape_mismatch(self):
+        with pytest.raises(ValueError, match=r"^shape mismatch: \(3, 2\) vs \(2, 3\)$"):
+            mse(np.zeros((3, 2)), np.zeros((2, 3)))
+
 
 class TestBackward:
     def test_skipping_the_input_gradient_leaves_the_layer_gradients(self, rng):

@@ -180,8 +180,8 @@ def whole_array_route(x, y, num_directions, seed, gamma):
 
 
 class TestStreamedDirections:
-    # 1023-1025, 2049 and 3089 put the kernels' 1024-direction chunks around a
-    # boundary or leave a short tail; 9000 spans several chunks at every n.  At
+    # 1023-1025, 2049 and 3089 sit where the count of streamed chunks changes
+    # (1,024 directions fill one at n = 64); 9000 spans several chunks at every n.  At
     # dim 300, and with 2 points against 64, the projection blocks and chunks
     # are sized by rows x points, not by dim or by the larger sample.
     NDIRS = (2, 35, 1023, 1024, 1025, 1034, 2049, 3089, 9000)

@@ -321,6 +321,13 @@ class TestTrainLoop:
             train(self.small_config(), rng.standard_normal((32, 3)), rng.standard_normal((8, 4)))
 
     @pytest.mark.parametrize("which", ["training", "validation"])
+    def test_rejects_one_dimensional_data(self, rng, which):
+        data = self.make_data(rng)
+        args = (data[:, 0], data[:16]) if which == "training" else (data, data[:16, 0])
+        with pytest.raises(ValueError, match="^train and validation data must be 2-D arrays$"):
+            train(self.small_config(), *args)
+
+    @pytest.mark.parametrize("which", ["training", "validation"])
     def test_rejects_non_finite_data_naming_set_and_row(self, rng, which):
         data = self.make_data(rng)
         bad = data.copy()
@@ -556,6 +563,16 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
+            load_checkpoint(path)
+
+    def test_unsupported_version_is_rejected(self, rng, tmp_path):
+        params = mlp.init_mlp(4, 2, (6,), (6,), "identity", rng)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, TrainConfig(latent_dim=2, batch_size=8, epochs=1))
+        blob = path.read_bytes()
+        at = len(b"CWAECKPT")
+        path.write_bytes(blob[:at] + struct.pack("<I", 99) + blob[at + 4:])
+        with pytest.raises(ValueError, match="^unsupported checkpoint version 99$"):
             load_checkpoint(path)
 
     def test_truncation_names_missing_section(self, rng, tmp_path):
