@@ -9,13 +9,15 @@ relative up to D = 784 and 1.1e-14 at D = 3072, the expansion within 1e-15
 at every D.  Both two-branch profiles (exact, 2-D Bessel fit) pick branches
 in one selector that gathers and writes back each branch's values by index;
 an exact pair sum makes one series call per 2**18 waiting tile values.
-Every pairwise kernel (the profile sums, the latent gradient and Mardia's
-Gram route) walks one tile size over its pair matrix, a symmetric one only
-the tiles on and above the diagonal; the profile sums and the gradient take
-their tiles of squared distances from one centred walk.  The kernels take
-gamma and scale pair distances by 1/(4 gamma) and norms by 1/(2 + 4 gamma)
-themselves; the gradient evaluates the asymptotic profile on the arguments
-the sums use and differentiates it as -(2/(2D-3)) phi**3.  The Monte Carlo
+Every pairwise kernel (the profile sums, the latent walk and Mardia's Gram
+route) walks one tile size over its pair matrix, a symmetric one only the
+tiles on and above the diagonal; the profile sums and the latent walk take
+their tiles of squared distances from one centred walk, one augmented matrix
+product per tile.  The kernels take gamma and scale pair distances by
+1/(4 gamma) and norms by 1/(2 + 4 gamma) themselves.  A training step's
+latent walk returns the asymptotic pair and norm sums with the bits of the
+sum kernels, and the gradient, which differentiates the profile on the same
+arguments as -(2/(2D-3)) phi**3.  The Monte Carlo
 kernels run NumPy's SIMD ``exp`` over contiguous (points, directions) strips
 in one pass on the calling thread.  The streamed evaluator alone threads: its
 direction chunks, shared by threads on every CPU the process may use, each
@@ -156,8 +158,10 @@ def _phi_bessel2_vec(s):
 def phi_values(dim, s, mode, pending=None):
     """Vectorized profile over nonnegative s; exact mode hands ``pending`` to _two_branches."""
     s = np.asarray(s, dtype=np.float64)
-    if mode == MODE_ASYMPTOTIC:
-        return 1.0 / np.sqrt(1.0 + 4.0 * s / (2.0 * dim - 3.0))
+    if mode == MODE_ASYMPTOTIC:  # one array, and phi(0) = 1 exactly
+        t = s * (4.0 / (2.0 * dim - 3.0))
+        t += 1.0
+        return np.divide(1.0, np.sqrt(t, out=t), out=t)
     if mode == MODE_BESSEL2:
         return _phi_bessel2_vec(s)
     if mode == MODE_EXACT:
@@ -167,8 +171,9 @@ def phi_values(dim, s, mode, pending=None):
     raise ValueError(f"unknown phi mode {mode!r}")
 
 
-def _pair_d2_chunk(xc, y, nxc, ny):
-    d2 = nxc[:, None] + ny[None, :] - 2.0 * (xc @ y.T)
+def _pair_d2_chunk(left_rows, right_cols):
+    # rows [x, |x|^2, 1] . [-2y, 1, |y|^2] = |x|^2 + |y|^2 - 2 x.y: one product per tile
+    d2 = left_rows @ right_cols.T
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -184,17 +189,21 @@ def _tiles(n, k, upper=False):
 def _centred_tiles(x, y, upper=False):
     """(rows, cols, x tile, y tile, squared distances) per block of _tiles(n, k,
     upper), on samples centred on their joint mean so that the Gram trick cancels
-    no large common offset; with ``y is x`` each step is done once."""
-    n, k = x.shape[0], y.shape[0]
+    no large common offset; with ``y is x`` each step is done once.  Each tile is one
+    product of the augmented rows, which on dyadic samples is exact in every term."""
+    (n, dim), k = x.shape, y.shape[0]
     xsum = x.sum(axis=0)
     centre = (xsum + (xsum if y is x else y.sum(axis=0))) / (n + k)
     xc = x - centre
     yc = xc if y is x else y - centre
-    nx = np.einsum("ij,ij->i", xc, xc)
-    ny = nx if y is x else np.einsum("ij,ij->i", yc, yc)
+    # right holds columns, so a tile is a transposed view that BLAS reads as stored
+    left, right = np.ones((n, dim + 2)), np.ones((dim + 2, k))
+    left[:, :dim] = xc
+    np.einsum("ij,ij->i", xc, xc, out=left[:, dim])
+    np.multiply(yc.T, -2.0, out=right[:dim])
+    right[dim + 1] = left[:, dim] if y is x else np.einsum("ij,ij->i", yc, yc)
     for rows, cols in _tiles(n, k, upper):
-        xt, yt = xc[rows], yc[cols]
-        yield rows, cols, xt, yt, _pair_d2_chunk(xt, yt, nx[rows], ny[cols])
+        yield rows, cols, xc[rows], yc[cols], _pair_d2_chunk(left[rows], right[:, cols].T)
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,7 +228,8 @@ def sum_phi_cross(x, y, gamma, mode):
     for rows, cols, _, _, d2 in _centred_tiles(x, x if same else y, upper=same):
         if same and rows == cols:
             d2 = d2.ravel()[_strict_upper(d2.shape[0])]
-        values = phi_values(dim, d2 * scale, mode, pending)
+        d2 *= scale
+        values = phi_values(dim, d2, mode, pending)
         if not pending or pending[-1][0] is not values:  # no series value of it waits
             parts.append(float(values.sum()))
         elif (waiting := waiting + values.size) >= _SERIES_POOL:
@@ -244,21 +254,31 @@ def sum_phi_norms(x, gamma, mode):
     return float(phi_values(dim, nx * (1.0 / (2.0 + 4.0 * gamma)), mode).sum())
 
 
-def cw_normal_asym_grad(z, gamma):
-    # d/ds of the asymptotic profile is -(2/(2D-3)) phi**3; -2/(2D-3) is in c1.
+def cw_normal_asym_terms(z, gamma):
+    """(pair sum, norm sum, gradient of the distance to N(0, I)) of the asymptotic profile,
+    from one walk over every centred tile: the sums keep the bits of sum_phi_cross(z, z)
+    and sum_phi_norms, and d/ds of the profile is -(2/(2D-3)) phi**3."""
     n, dim = z.shape
     c1 = -2.0 / (2.0 * dim - 3.0) / (2.0 * n * n * math.sqrt(math.pi))
     c_pair = c1 / (gamma * math.sqrt(gamma))
-    c_norm = -c1 * (2.0 * n / math.sqrt(gamma + 0.5)) / (1.0 + 2.0 * gamma)
+    c_norm = -2.0 * n * gamma * math.sqrt(gamma) / (math.sqrt(gamma + 0.5) * (1.0 + 2.0 * gamma))
     scale = 1.0 / (4.0 * gamma)
-    pair = np.zeros_like(z)
-    for rows, _, zr, zc, d2 in _centred_tiles(z, z):
-        p = phi_values(dim, d2 * scale, MODE_ASYMPTOTIC)
-        w = p * p * p
-        pair[rows] += w.sum(axis=1)[:, None] * zr - w @ zc
     nz = np.einsum("ij,ij->i", z, z)
     p = phi_values(dim, nz * (1.0 / (2.0 + 4.0 * gamma)), MODE_ASYMPTOTIC)
-    return c_pair * pair + c_norm * (p * p * p)[:, None] * z
+    s_norm = float(p.sum())
+    p *= p * p
+    grad, parts = (c_norm * p)[:, None] * z, []  # the norm term, in units of c_pair
+    for rows, cols, zr, zc, d2 in _centred_tiles(z, z):
+        d2 *= scale
+        p = phi_values(dim, d2, MODE_ASYMPTOTIC)
+        if rows == cols:
+            parts.append(float(p.ravel()[_strict_upper(p.shape[0])].sum()))
+        elif rows.start < cols.start:
+            parts.append(float(p.sum()))
+        p *= p * p
+        grad[rows] += p.sum(axis=1)[:, None] * zr - p @ zc
+    grad *= c_pair
+    return n + 2.0 * math.fsum(parts), s_norm, grad
 
 
 def mardia_sums(x):

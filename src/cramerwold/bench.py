@@ -1,8 +1,9 @@
 """Micro-benchmark of the latent-distance + gradient work of a training step.
 
-Runs the O(n^2) asymptotic-mode kernels a training step runs on its codes
-(``sum_phi_cross``, ``sum_phi_norms`` and ``cw_normal_asym_grad``) over a
-list of batch sizes, and reports the growth ratio between consecutive sizes.
+Runs the O(n^2) asymptotic-mode kernel a training step runs on its codes
+(``cw_normal_asym_terms``: the pair and norm sums and the gradient in one
+walk) over a list of batch sizes, and reports the growth ratio between
+consecutive sizes.
 A healthy quadratic kernel lands near 4 when the size doubles; the CLI gate
 accepts [2.5, 6] for the doubling steps.
 """
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .distance import silverman_gamma
-from .phi import PhiMode, _integer, resolve_mode
+from .phi import _integer, resolve_mode
 
 RATIO_LOW = 2.5
 RATIO_HIGH = 6.0
@@ -41,12 +42,7 @@ class BenchReport:
 
 
 def _workload(x, gamma):
-    def run():
-        kernels.sum_phi_cross(x, x, gamma, PhiMode.ASYMPTOTIC)
-        kernels.sum_phi_norms(x, gamma, PhiMode.ASYMPTOTIC)
-        kernels.cw_normal_asym_grad(x, gamma)
-
-    return run
+    return lambda: kernels.cw_normal_asym_terms(x, gamma)
 
 
 def _time_mean(fn, repeats, warmup):

@@ -70,9 +70,20 @@ def _check_gamma(gamma):
     return gamma
 
 
+def sample_gamma(n, gamma):
+    """``gamma`` checked, or Silverman's rule at sample size n when None."""
+    return silverman_gamma(n) if gamma is None else _check_gamma(gamma)
+
+
+def normal_pre(n, gamma, s_pair, s_norm):
+    """The sample-prior closed form before its clamp, from n points' pair and norm sums."""
+    return (s_pair / math.sqrt(gamma) + n * n / math.sqrt(1.0 + gamma)
+            - (2.0 * n / math.sqrt(gamma + 0.5)) * s_norm) / (2.0 * n * n * math.sqrt(math.pi))
+
+
 def _samples(x, y, gamma):
     """(x, y, gamma) with x and y (None for the prior) checked as samples of one
-    dimension, and gamma checked, or Silverman's rule at min(n, k) when None."""
+    dimension, and gamma as sample_gamma at min(n, k) takes it."""
     x = _as_sample(x, "x")
     n = x.shape[0]
     if y is not None:
@@ -80,7 +91,7 @@ def _samples(x, y, gamma):
         if x.shape[1] != y.shape[1]:
             raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
         n = min(n, y.shape[0])
-    return x, y, silverman_gamma(n) if gamma is None else _check_gamma(gamma)
+    return x, y, sample_gamma(n, gamma)
 
 
 def _radial_means(a, b):
@@ -124,15 +135,8 @@ def cw2_sample_sample(x, y, gamma=None, mode=None):
     pre = (saa / (na * na) + sbb / (nb * nb) - 2.0 * (sab / (na * nb))) / (
         2.0 * math.sqrt(math.pi * gamma)
     )
-    return CwReport(
-        squared_distance=max(pre, 0.0),
-        pre_clamp=pre,
-        gamma=gamma,
-        mode=resolved,
-        n=n,
-        k=k,
-        dim=dim,
-    )
+    return CwReport(squared_distance=max(pre, 0.0), pre_clamp=pre, gamma=gamma, mode=resolved,
+                    n=n, k=k, dim=dim)
 
 
 def cw2_sample_normal(x, gamma=None, mode=None):
@@ -143,22 +147,10 @@ def cw2_sample_normal(x, gamma=None, mode=None):
     x, _, gamma = _samples(x, None, gamma)
     n, dim = x.shape
     resolved = resolve_mode(dim, mode)
-    s_pair = kernels.sum_phi_cross(x, x, gamma, resolved)
-    s_norm = kernels.sum_phi_norms(x, gamma, resolved)
-    pre = (
-        s_pair / math.sqrt(gamma)
-        + n * n / math.sqrt(1.0 + gamma)
-        - (2.0 * n / math.sqrt(gamma + 0.5)) * s_norm
-    ) / (2.0 * n * n * math.sqrt(math.pi))
-    return CwReport(
-        squared_distance=max(pre, 0.0),
-        pre_clamp=pre,
-        gamma=gamma,
-        mode=resolved,
-        n=n,
-        k=None,
-        dim=dim,
-    )
+    pre = normal_pre(n, gamma, kernels.sum_phi_cross(x, x, gamma, resolved),
+                     kernels.sum_phi_norms(x, gamma, resolved))
+    return CwReport(squared_distance=max(pre, 0.0), pre_clamp=pre, gamma=gamma, mode=resolved,
+                    n=n, k=None, dim=dim)
 
 
 def cw_scalar_product_radial(a, b, gamma, mode=None):

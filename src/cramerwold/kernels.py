@@ -5,7 +5,7 @@ Callers look the kernels up through this module, so a caller-side wrapper
 """
 
 from ._vectorized import (
-    cw_normal_asym_grad,
+    cw_normal_asym_terms,
     mardia_sums,
     mc_normal_values,
     mc_pair_values,

@@ -22,9 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels, mlp
-from .distance import cw2_sample_normal
+from .distance import cw2_sample_normal, normal_pre, sample_gamma
 from .normality import mardia
-from .phi import PhiMode, _integer
+from .phi import PhiMode, _integer, resolve_mode
 
 OBJECTIVES = ("cwae", "plain_ae")
 
@@ -127,9 +127,11 @@ def cost_and_grad(x, params, objective="cwae", gamma=None, eps_log=1e-12, cw_wei
     xhat, dec_caches = mlp._forward_stack(params.decoder, z, params.output_activation)
     rec = mlp.mse(x, xhat)
     cw_sq = math.nan
-    if np.isfinite(z).all():
-        report = cw2_sample_normal(z, gamma=gamma, mode=PhiMode.ASYMPTOTIC)
-        cw_sq, gamma = report.squared_distance, report.gamma
+    if np.isfinite(z).all():  # one walk gives the distance's sums and its gradient
+        resolve_mode(z.shape[1], PhiMode.ASYMPTOTIC)  # rejects a latent dimension below 2
+        gamma = sample_gamma(z.shape[0], gamma)
+        s_pair, s_norm, dcw = kernels.cw_normal_asym_terms(z, gamma)
+        cw_sq = max(normal_pre(z.shape[0], gamma, s_pair, s_norm), 0.0)
     cw_log = math.log(max(cw_sq, eps_log))  # a NaN distance stays NaN
     cost = CwaeCost(total=cw_weight * cw_log + rec, mse=rec, cw_log=cw_log, cw_squared=cw_sq)
     grad = params.like(np.empty_like(params.flat))
@@ -138,7 +140,7 @@ def cost_and_grad(x, params, objective="cwae", gamma=None, eps_log=1e-12, cw_wei
         params.decoder, dec_caches, params.output_activation, xhat, dxhat, grad.decoder
     )
     if objective == "cwae" and cw_sq > eps_log:
-        dz = dz + (cw_weight / cw_sq) * kernels.cw_normal_asym_grad(z, gamma)
+        dz = dz + (cw_weight / cw_sq) * dcw
     mlp._backward_stack(
         params.encoder, enc_caches, "identity", z, dz, grad.encoder, input_grad=False
     )

@@ -73,6 +73,24 @@ class TestSelfSums:
         rep = cw2_sample_sample(x, x.copy(), mode=mode)
         assert rep.pre_clamp == 0.0
 
+    @pytest.mark.parametrize("n, k, upper", [(128, None, False), (256, None, False),
+                                             (256, None, True), (1, 255, False),
+                                             (96, 32, False), (200, 56, False)])
+    def test_dyadic_tile_distances_are_exact(self, rng, n, k, upper):
+        # entries j/8 and n + k a power of two: the joint mean, the centred
+        # rows, their norms and each tile's one augmented product are exact,
+        # so every tile equals the integer brute force bit for bit
+        ix = rng.integers(-64, 65, (n, 5))
+        iy = ix if k is None else rng.integers(-64, 65, (k, 5))
+        x = ix / 8
+        y = x if k is None else iy / 8
+        brute = ((ix[:, None, :] - iy[None, :, :]) ** 2).sum(axis=2) / 64
+        seen = np.zeros(brute.shape, dtype=int)
+        for rows, cols, _, _, d2 in _vectorized._centred_tiles(x, y, upper=upper):
+            assert np.array_equal(d2, brute[rows, cols])
+            seen[rows, cols] += 1
+        assert np.all((seen[np.triu_indices(n)] if upper else seen) == 1)
+
 
 class TestSeriesPool:
     """Exact pair sums evaluate the series values of many tiles in one call."""
@@ -158,11 +176,23 @@ class TestModeRoute:
 
 
 class TestGradientKernel:
+    @pytest.mark.parametrize("dim", [8, 64])
+    @pytest.mark.parametrize("n", [2, 127, 128, 129, 259])
+    def test_one_walk_keeps_the_bits_of_the_sums(self, rng, n, dim):
+        # the training step's one walk returns the library's pair and norm sums
+        for offset in (0.0, 30.0):
+            z = rng.standard_normal((n, dim)) * 1.4 + offset
+            gamma = 0.37
+            s_pair, s_norm, grad = kernels.cw_normal_asym_terms(z, gamma)
+            assert s_pair.hex() == kernels.sum_phi_cross(z, z, gamma, MODE_ASYMPTOTIC).hex()
+            assert s_norm.hex() == kernels.sum_phi_norms(z, gamma, MODE_ASYMPTOTIC).hex()
+            assert grad.shape == z.shape
+
     def test_matches_finite_differences_of_the_distance(self, rng):
         # the kernel returns d(cw^2)/dz for the asymptotic closed form
         z = rng.standard_normal((12, 4))
         gamma = 0.4
-        grad = _vectorized.cw_normal_asym_grad(z, gamma)
+        grad = _vectorized.cw_normal_asym_terms(z, gamma)[2]
         h = 1e-6
         for i, j in ((0, 0), (3, 2), (11, 3)):
             zp = z.copy()
@@ -194,7 +224,7 @@ class TestGradientKernel:
             c_norm = -c1 * (2.0 * n / math.sqrt(gamma + 0.5)) / (1.0 + 2.0 * gamma)
             pair = (w[:, :, None] * diff).sum(axis=1)
             brute = c1 / (gamma * math.sqrt(gamma)) * pair + c_norm * wn[:, None] * z
-            grad = _vectorized.cw_normal_asym_grad(z, gamma)
+            grad = _vectorized.cw_normal_asym_terms(z, gamma)[2]
             assert np.abs(grad - brute).max() <= 1e-10 * np.abs(brute).max()  # measured <= 1.1e-15
 
 
@@ -233,7 +263,7 @@ class TestMcKernels:
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_identical_projections_give_exact_zero(self, rng):
-        # 3000 directions span three chunks; every other direction projects
+        # 3000 directions in one strip; every other direction projects
         # both samples to the same points, and the rest differ in one point
         px = rng.standard_normal((3000, 64)) * 1.7 + 0.3
         py = px.copy()
@@ -243,8 +273,8 @@ class TestMcKernels:
         assert np.all(vals[1::2] > 0.0)
 
     def test_values_across_chunks_match_dense_formula(self, rng):
-        # 40 points per sample puts 1638 directions in a chunk, so 2000
-        # directions span two chunks, the second one partial
+        # 2000 directions in one strip; TestStreamedDirections covers the
+        # boundaries of the streamed chunks
         px = rng.standard_normal((2000, 32))
         py = rng.standard_normal((2000, 40)) * 1.2 + 0.3
         g = 0.4

@@ -110,6 +110,14 @@ class TestCostBreakdown:
         with pytest.raises(ValueError):
             cost_and_grad(x, params, objective="vae")
 
+    @pytest.mark.parametrize("objective", ["cwae", "plain_ae"])
+    def test_rejects_a_one_dimensional_latent(self, rng, objective):
+        # the asymptotic profile needs 2D - 3 > 0, so a one-dimensional code is named
+        x = rng.standard_normal((16, 4))
+        params = mlp.init_mlp(4, 1, (8,), (8,), "identity", rng)
+        with pytest.raises(ValueError, match="dimension must be >= 2, got 1"):
+            cost_and_grad(x, params, objective=objective)
+
 
 class TestGradients:
     @pytest.mark.parametrize("objective", ["cwae", "plain_ae"])
@@ -185,7 +193,7 @@ def reference_grad(x, params):
     if np.isfinite(z).all():
         cw = cw2_sample_normal(z, mode=PhiMode.ASYMPTOTIC)
         if cw.squared_distance > 1e-12:
-            dz = dz + (1.0 / cw.squared_distance) * kernels.cw_normal_asym_grad(z, cw.gamma)
+            dz = dz + (1.0 / cw.squared_distance) * kernels.cw_normal_asym_terms(z, cw.gamma)[2]
     backward(params.encoder, enc, "identity", z, dz, grad.encoder)
     return grad.flat
 
