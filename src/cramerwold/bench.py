@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .distance import silverman_gamma
-from .phi import _integer, resolve_mode
+from .phi import _at_least, resolve_mode
 
 RATIO_LOW = 2.5
 RATIO_HIGH = 6.0
@@ -57,19 +57,11 @@ def _time_mean(fn, repeats, warmup):
 def run_bench(dim=64, sizes=(128, 256), repeats=20, warmup=3, seed=0):
     """Time the kernels at each batch size; returns a BenchReport."""
     sizes = tuple(sizes)
-    for name, value in [*(("a size", n) for n in sizes), ("repeats", repeats), ("warmup", warmup)]:
-        if _integer(value) is None:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    for name, value, low in [*(("a size", n, 2) for n in sizes),
+                             ("repeats", repeats, 1), ("warmup", warmup, 0), ("seed", seed, 0)]:
+        _at_least(name, value, low)
     if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be a non-empty strictly increasing list")
-    if any(n < 2 for n in sizes):
-        raise ValueError("batch sizes must be >= 2")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if warmup < 0:
-        raise ValueError("warmup must be >= 0")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
     resolve_mode(dim)  # checks the dimension
     rng = np.random.default_rng(seed)
     data = {n: np.ascontiguousarray(rng.standard_normal((n, dim))) for n in sizes}

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .phi import _at_least, _real
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -144,12 +146,8 @@ def generate(spec):
     Gaussian mixtures draw a component per point, then the point; labels
     carry the component index.  The uniform cube fills [-1, 1]^dim.
     """
-    if spec.count < 1:
-        raise ValueError(f"count must be >= 1, got {spec.count}")
-    if spec.dim < 1:
-        raise ValueError(f"dim must be >= 1, got {spec.dim}")
-    if spec.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {spec.seed}")
+    for name, low in (("count", 1), ("dim", 1), ("seed", 0)):
+        _at_least(name, getattr(spec, name), low)
     rng = np.random.default_rng(spec.seed)
     if spec.kind == UNIFORM_CUBE:
         points = rng.uniform(-1.0, 1.0, size=(spec.count, spec.dim))
@@ -179,10 +177,10 @@ def generate(spec):
 
 def train_valid_split(dataset, valid_fraction=0.1, seed=0):
     """Shuffled split into (train, valid) Datasets; valid gets the tail."""
+    valid_fraction = _real("valid_fraction", valid_fraction)
     if not 0.0 < valid_fraction < 1.0:
         raise ValueError("valid_fraction must lie strictly between 0 and 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _at_least("seed", seed, 0)
     n = dataset.n
     n_valid = max(1, int(round(n * valid_fraction)))
     if n_valid >= n:

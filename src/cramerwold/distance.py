@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .phi import PhiMode, _integer, phi, resolve_mode
+from .phi import PhiMode, _at_least, _real, phi, resolve_mode
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,7 @@ class RadialGaussian:
 
 def silverman_gamma(n):
     """Silverman-rule smoothing variance (4 / (3n)) ** (2/5) for sample size n."""
-    size = _integer(n)
-    if size is None or size < 1:
-        raise ValueError(f"sample size must be a positive integer, got {n!r}")
-    return (4.0 / (3.0 * size)) ** 0.4
+    return (4.0 / (3.0 * int(_at_least("sample size", n, 1)))) ** 0.4
 
 
 def _as_sample(arr, name):
@@ -64,7 +61,7 @@ def _as_sample(arr, name):
 
 
 def _check_gamma(gamma):
-    gamma = float(gamma)
+    gamma = _real("gamma", gamma)
     if not math.isfinite(gamma) or gamma <= 0.0:
         raise ValueError(f"gamma must be finite and > 0, got {gamma!r}")
     return gamma
@@ -99,7 +96,7 @@ def _radial_means(a, b):
     variance scale >= 0, and both of one shape."""
     means = []
     for name, g in (("a", a), ("b", b)):
-        if not math.isfinite(g.variance_scale) or g.variance_scale < 0.0:
+        if not 0.0 <= _real(f"{name}.variance_scale", g.variance_scale) < math.inf:
             raise ValueError(f"{name}.variance_scale must be finite and >= 0, "
                              f"got {g.variance_scale!r}")
         m = np.asarray(g.mean, dtype=np.float64).ravel()

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .phi import _at_least
+
 _BLOCK = 1 << 14  # Adam's elements per block: 128 KiB of each of its four arrays
 _ROWS = 256  # rows per encode/decode block
 
@@ -66,8 +68,8 @@ def params_from_flat(flat, encoder_shapes, decoder_shapes, output_activation="id
 
 
 def init_mlp(input_dim, latent_dim, encoder_hidden, decoder_hidden, output_activation, rng):
-    if input_dim < 1 or latent_dim < 1:
-        raise ValueError("input_dim and latent_dim must be positive")
+    _at_least("input_dim", input_dim, 1)
+    _at_least("latent_dim", latent_dim, 1)
     enc = [input_dim, *encoder_hidden, latent_dim]
     dec = [latent_dim, *decoder_hidden, input_dim]
     enc_shapes, dec_shapes = list(zip(enc[:-1], enc[1:])), list(zip(dec[:-1], dec[1:]))

@@ -20,7 +20,7 @@ import numpy as np
 from . import kernels
 from ._vectorized import _unit_rows, mc_direction_values
 from .distance import RadialGaussian, _check_gamma, _radial_means, _samples
-from .phi import _integer
+from .phi import _at_least
 
 
 class McEstimate(NamedTuple):
@@ -28,21 +28,11 @@ class McEstimate(NamedTuple):
     std_error: float
 
 
-def _check_draw(num_directions, seed, least):
-    for name, value, low in (("num_directions", num_directions, least), ("seed", seed, 0)):
-        if _integer(value) is None:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
-
-
 def sample_directions(num_directions, dim, seed):
     """Unit vectors uniform on the sphere: normalized i.i.d. normals, Philox-seeded."""
-    _check_draw(num_directions, seed, 1)
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    rng = np.random.Generator(np.random.Philox(seed))
-    return _unit_rows(rng.standard_normal((num_directions, dim)))
+    _at_least("num_directions", num_directions, 1)
+    rng = np.random.Generator(np.random.Philox(_at_least("seed", seed, 0)))
+    return _unit_rows(rng.standard_normal((num_directions, _at_least("dim", dim, 1))))
 
 
 def l2_smoothed_1d(a, b, gamma):
@@ -76,8 +66,8 @@ def cw2_monte_carlo(x, y, num_directions, seed, gamma=None):
     the per-direction value is exactly 0.
     """
     x, y, gamma = _samples(x, y, gamma)
-    _check_draw(num_directions, seed, 2)
-    rng = np.random.Generator(np.random.Philox(seed))
+    _at_least("num_directions", num_directions, 2)
+    rng = np.random.Generator(np.random.Philox(_at_least("seed", seed, 0)))
     return _summarize(mc_direction_values((x, y), gamma, num_directions, rng))
 
 
@@ -88,8 +78,8 @@ def cw2_normal_monte_carlo(x, num_directions, seed, gamma=None):
     direction contributes the smoothed 1-D distance to N(0, 1 + gamma).
     """
     x, _, gamma = _samples(x, None, gamma)
-    _check_draw(num_directions, seed, 2)
-    rng = np.random.Generator(np.random.Philox(seed))
+    _at_least("num_directions", num_directions, 2)
+    rng = np.random.Generator(np.random.Philox(_at_least("seed", seed, 0)))
     return _summarize(mc_direction_values((x,), gamma, num_directions, rng))
 
 
@@ -100,11 +90,10 @@ def radial_product_monte_carlo(a: RadialGaussian, b: RadialGaussian, gamma, num_
     L2 product of the two smoothed projections is N(v.(x-y), alpha+beta+2*gamma)(0).
     Validates the closed form of ``cw_scalar_product_radial``.
     """
-    _check_draw(num_directions, seed, 2)
     gamma = _check_gamma(gamma)
     ma, mb = _radial_means(a, b)
     t = a.variance_scale + b.variance_scale + 2.0 * gamma
-    v = sample_directions(num_directions, ma.shape[0], seed)
+    v = sample_directions(_at_least("num_directions", num_directions, 2), ma.shape[0], seed)
     proj = v @ (ma - mb)
     vals = np.exp(-(proj * proj) / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
     return _summarize(vals)

@@ -15,7 +15,7 @@ products of Gaussian-smoothed projections.  Three evaluation modes:
 
 import enum
 import math
-import operator
+import numbers
 
 import numpy as np
 
@@ -28,12 +28,20 @@ class PhiMode(str, enum.Enum):
     BESSEL_D2 = _vectorized.MODE_BESSEL2
 
 
-def _integer(value):
-    """``operator.index(value)``, or None for a bool or a value it rejects."""
-    try:
-        return None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        return None
+def _at_least(name, value, low):
+    """``value`` if it is an integer (not a bool) >= ``low``, else a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _real(name, value):
+    """``float(value)`` for a real number (not a bool), else a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def resolve_mode(dim, mode=None):
@@ -43,10 +51,7 @@ def resolve_mode(dim, mode=None):
     fit at D = 2, stabilized series for 3 <= D < 20, asymptotic closed form
     for D >= 20.  Strings matching the mode values are also accepted.
     """
-    if _integer(dim) is None:
-        raise ValueError(f"dimension must be an integer, got {dim!r}")
-    if dim < 2:
-        raise ValueError(f"dimension must be >= 2, got {dim}")
+    _at_least("dimension", dim, 2)
     if mode is None or mode == "auto":
         if dim == 2:
             return PhiMode.BESSEL_D2
@@ -87,7 +92,7 @@ def phi_bessel_d2(s):
 def phi(dim, s, mode=None):
     """Profile function with mode dispatch (``mode=None`` picks by dimension)."""
     resolved = resolve_mode(dim, mode)
-    s = float(s)
+    s = _real("s", s)
     if not math.isfinite(s) or s < 0.0:
         raise ValueError(f"s must be finite and >= 0, got {s!r}")
     return float(_vectorized.phi_values(dim, np.array([s]), resolved)[0])

@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels, mlp
 from .distance import cw2_sample_normal, normal_pre, sample_gamma
 from .normality import mardia
-from .phi import PhiMode, _integer, resolve_mode
+from .phi import PhiMode, _at_least, _real, resolve_mode
 
 OBJECTIVES = ("cwae", "plain_ae")
 
@@ -52,36 +52,29 @@ class TrainConfig:
 def validate_config(config):
     if config.objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {config.objective!r}")
-    for name in ("latent_dim", "batch_size", "epochs", "seed", "valid_cap"):
-        if _integer(getattr(config, name)) is None:
-            raise ValueError(f"{name} must be an integer, got {getattr(config, name)!r}")
-    if config.latent_dim < 2:
-        raise ValueError(f"latent_dim must be >= 2, got {config.latent_dim}")
-    if config.epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {config.epochs}")
-    if config.batch_size < 2:
-        raise ValueError(f"batch_size must be >= 2, got {config.batch_size}")
-    if config.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {config.seed}")
+    for name, low in (("latent_dim", 2), ("batch_size", 2), ("epochs", 0), ("seed", 0),
+                      ("valid_cap", 1)):
+        _at_least(name, getattr(config, name), low)
     for name in ("encoder_hidden", "decoder_hidden"):
-        if any(_integer(w) is None or w < 1 for w in getattr(config, name)):
-            raise ValueError(f"{name} must hold integer widths >= 1, got {getattr(config, name)!r}")
+        widths = getattr(config, name)
+        if not isinstance(widths, (tuple, list)):
+            raise ValueError(f"{name} must be a sequence of widths, got {widths!r}")
+        for width in widths:
+            _at_least(name, width, 1)
     if config.output_activation not in ("identity", "sigmoid"):
         raise ValueError(f"unknown output activation {config.output_activation!r}")
     for name in ("learning_rate", "eps_log", "adam_epsilon"):
-        value = getattr(config, name)
+        value = _real(name, getattr(config, name))
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     for name in ("beta1", "beta2"):
-        value = getattr(config, name)
+        value = _real(name, getattr(config, name))
         if not 0.0 <= value < 1.0:
             raise ValueError(f"{name} must lie in [0, 1), got {value!r}")
-    if not math.isfinite(config.cw_weight):
+    if not math.isfinite(_real("cw_weight", config.cw_weight)):
         raise ValueError(f"cw_weight must be finite, got {config.cw_weight!r}")
-    if not config.grad_clip_norm >= 0:
+    if not _real("grad_clip_norm", config.grad_clip_norm) >= 0:
         raise ValueError("grad_clip_norm must be >= 0 (0 disables clipping)")
-    if config.valid_cap < 1:
-        raise ValueError(f"valid_cap must be >= 1, got {config.valid_cap}")
 
 
 @dataclass(frozen=True)
@@ -286,6 +279,7 @@ def config_from_text(text, extra_keys=()):
     known = {f.name: f for f in fields(TrainConfig)}
     raw = {}
     extras = {}
+    first_line = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -295,6 +289,9 @@ def config_from_text(text, extra_keys=()):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in first_line:
+            raise ValueError(f"line {lineno}: config field {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         if key in extra_keys:
             extras[key] = value
         elif key in known:

@@ -391,8 +391,8 @@ class TestBench:
             run_bench(dim=5, sizes=(32,), repeats=1, warmup=0, seed=-1)
 
     @pytest.mark.parametrize("option, message", [
-        ({"sizes": (1, 32)}, "batch sizes must be >= 2"),
-        ({"warmup": -1}, "warmup must be >= 0"),
+        ({"sizes": (1, 32)}, "a size must be >= 2, got 1"),
+        ({"warmup": -1}, "warmup must be >= 0, got -1"),
     ])
     def test_run_bench_rejects_an_out_of_range_option(self, option, message):
         kwargs = {"dim": 5, "sizes": (16, 32), "repeats": 1, "warmup": 0, **option}
@@ -410,6 +410,12 @@ class TestBench:
         ({"repeats": 1.5}, "repeats must be an integer, got 1.5"),
         ({"warmup": 0.5}, "warmup must be an integer, got 0.5"),
         ({"warmup": True}, "warmup must be an integer, got True"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": None}, "seed must be an integer, got None"),
+        ({"repeats": None}, "repeats must be an integer, got None"),
+        ({"dim": 5.0}, "dimension must be an integer, got 5.0"),
+        ({"dim": None}, "dimension must be an integer, got None"),
     ])
     def test_run_bench_names_a_non_integer_option(self, option, message):
         kwargs = {"dim": 5, "sizes": (16, 32), "repeats": 1, "warmup": 0, **option}

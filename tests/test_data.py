@@ -1,6 +1,7 @@
 """Tests for dataset IO and synthetic generators."""
 
 import gzip
+import re
 import struct
 
 import numpy as np
@@ -286,6 +287,27 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             generate(self.mixture_spec(kind=kind, seed=-1))
 
+    @pytest.mark.parametrize("kind", [GAUSSIAN_MIXTURE, UNIFORM_CUBE])
+    @pytest.mark.parametrize("field, value", [
+        ("count", 500.0),
+        ("count", None),
+        ("dim", 2.0),
+        ("dim", True),
+        ("dim", None),
+        ("seed", 1.5),
+        ("seed", None),
+    ])
+    def test_a_non_integer_is_named(self, kind, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            generate(self.mixture_spec(kind=kind, **{field: value}))
+
+    @pytest.mark.parametrize("kind", [GAUSSIAN_MIXTURE, UNIFORM_CUBE])
+    def test_numpy_integers_are_integers(self, kind):
+        got = generate(self.mixture_spec(kind=kind, count=np.int64(50), dim=np.int64(2),
+                                         seed=np.int64(3)))
+        want = generate(self.mixture_spec(kind=kind, count=50, dim=2, seed=3))
+        assert np.array_equal(got.points, want.points)
+
 
 class TestSplit:
     def test_partition_sizes_and_content(self, rng):
@@ -326,6 +348,26 @@ class TestSplit:
         b_tr, b_va = train_valid_split(ds, seed=7)
         assert np.array_equal(a_tr.points, b_tr.points)
         assert np.array_equal(a_va.points, b_va.points)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5),
+        ("seed", None),
+        ("seed", True),
+        ("valid_fraction", None),
+        ("valid_fraction", "0.2"),
+        ("valid_fraction", True),
+    ])
+    def test_a_bad_argument_is_named(self, rng, field, value):
+        ds = Dataset(points=rng.standard_normal((10, 2)))
+        kind = "an integer" if field == "seed" else "a real number"
+        with pytest.raises(ValueError, match=f"^{field} must be {kind}, got {re.escape(repr(value))}$"):
+            train_valid_split(ds, **{field: value})
+
+    def test_numpy_scalars_are_accepted(self, rng):
+        ds = Dataset(points=rng.standard_normal((10, 2)))
+        got = train_valid_split(ds, valid_fraction=np.float64(0.3), seed=np.int64(4))
+        want = train_valid_split(ds, valid_fraction=0.3, seed=4)
+        assert all(np.array_equal(g.points, w.points) for g, w in zip(got, want))
 
     def test_rejects_out_of_range_fraction(self, rng):
         ds = Dataset(points=rng.standard_normal((10, 2)))

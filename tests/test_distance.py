@@ -6,6 +6,7 @@ profile function, the Monte-Carlo slicing oracle, and analytic identities.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,11 +59,47 @@ class TestSilverman:
         vals = [silverman_gamma(n) for n in (1, 4, 16, 64, 256)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("bad", [0, -3, 2.5, True, 5.0])
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, True, 5.0, None])
     def test_rejects_bad_sizes(self, bad):
-        message = f"^sample size must be a positive integer, got {bad!r}$"
+        if type(bad) is int:
+            message = f"^sample size must be >= 1, got {bad}$"
+        else:
+            message = f"^sample size must be an integer, got {bad!r}$"
         with pytest.raises(ValueError, match=message):
             silverman_gamma(bad)
+
+
+def radial_pair(a_var=0.3, b_var=0.1):
+    return (RadialGaussian(mean=np.full(5, 0.2), variance_scale=a_var),
+            RadialGaussian(mean=np.zeros(5), variance_scale=b_var))
+
+
+NAMED_GAMMAS = {
+    "gamma list": (lambda: cw2_sample_normal(np.eye(3), gamma=[1]),
+                   "gamma must be a real number, got [1]"),
+    "gamma str": (lambda: cw2_sample_sample(np.eye(3), np.eye(3), gamma="x"),
+                  "gamma must be a real number, got 'x'"),
+    "gamma bool": (lambda: cw2_sample_normal(np.eye(3), gamma=True),
+                   "gamma must be a real number, got True"),
+    "gamma None": (lambda: cw_scalar_product_radial(*radial_pair(), None),
+                   "gamma must be a real number, got None"),
+}
+
+
+class TestNamedArguments:
+    @pytest.mark.parametrize("case", sorted(NAMED_GAMMAS))
+    def test_a_bad_gamma_is_named(self, case):
+        call, message = NAMED_GAMMAS[case]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_numpy_scalars_are_accepted(self):
+        x = np.eye(3)
+        assert cw2_sample_normal(x, gamma=np.float64(0.5)) == cw2_sample_normal(x, gamma=0.5)
+        assert silverman_gamma(np.int64(64)) == silverman_gamma(64)
+        a, b = radial_pair(a_var=np.float64(0.3))
+        want = cw_scalar_product_radial(*radial_pair(), 0.5)
+        assert cw_scalar_product_radial(a, b, np.float64(0.5)) == want
 
 
 class TestSampleNormal:
@@ -255,6 +292,8 @@ class TestRadialScalarProduct:
         ("a.variance_scale", math.inf, 0.1, 0.0, 0.0, 5),
         ("b.mean", 0.1, 0.1, 0.0, math.nan, 5),
         ("a.mean", 0.1, 0.1, -math.inf, 0.0, 5),
+        ("a.variance_scale must be a real number, got None", None, 0.1, 0.0, 0.0, 5),
+        ("b.variance_scale must be a real number, got '0.1'", 0.1, "0.1", 0.0, 0.0, 5),
         ("mean dimension mismatch: 5 vs 6", 0.1, 0.1, 0.0, 0.0, 6),
     ])
     def test_closed_form_and_oracle_reject_a_bad_field_by_name(

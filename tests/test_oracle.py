@@ -67,6 +67,11 @@ class TestSmoothed1d:
         with pytest.raises(ValueError, match="^b contains non-finite values$"):
             l2_smoothed_1d([0.0, 1.0], [2.0, bad], 0.5)
 
+    @pytest.mark.parametrize("gamma", [None, "0.5", [0.5], True])
+    def test_a_bad_gamma_is_named(self, gamma):
+        with pytest.raises(ValueError, match=f"^gamma must be a real number, got {re.escape(repr(gamma))}$"):
+            l2_smoothed_1d([0.0, 1.0], [0.5], gamma)
+
 
 class TestDirections:
     def test_unit_norms(self):
@@ -236,6 +241,8 @@ class TestIntegerArguments:
         ("num_directions", True),
         ("seed", 1.5),
         ("seed", True),
+        ("num_directions", None),
+        ("seed", None),
     ])
     @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
     def test_non_integer_is_named(self, estimator, name, value):
@@ -249,3 +256,11 @@ class TestIntegerArguments:
         got = ESTIMATORS[estimator](np.int64(100), np.uint32(4))
         want = ESTIMATORS[estimator](100, 4)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", [2.5, None, True, 5.0])
+    def test_a_bad_dimension_is_named(self, dim):
+        with pytest.raises(ValueError, match=f"^dim must be an integer, got {dim!r}$"):
+            sample_directions(10, dim, 0)
+
+    def test_a_numpy_dimension_is_an_integer(self):
+        assert np.array_equal(sample_directions(10, np.int64(5), 0), sample_directions(10, 5, 0))

@@ -9,6 +9,7 @@ and the two-dimensional fit against scipy's exponentially scaled I0.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -267,7 +268,15 @@ class TestDispatcher:
         assert resolve_mode(dim) is resolve_mode(int(dim))
         assert phi(dim, 3.0) == phi(int(dim), 3.0)
 
-    @pytest.mark.parametrize("dim", [True, 5.0])
+    @pytest.mark.parametrize("dim", [True, 5.0, None])
     def test_rejects_bool_and_float_dimensions(self, dim):
         with pytest.raises(ValueError, match=f"^dimension must be an integer, got {dim!r}$"):
             phi(dim, 1.0)
+
+    @pytest.mark.parametrize("s", [None, True, "0.5", [0.5]])
+    def test_a_bad_argument_is_named(self, s):
+        with pytest.raises(ValueError, match=f"^s must be a real number, got {re.escape(repr(s))}$"):
+            phi(3, s)
+
+    def test_numpy_scalars_are_accepted(self):
+        assert phi(np.int64(3), np.float64(0.5)) == phi(3, 0.5)

@@ -416,6 +416,18 @@ NAMED_REJECTIONS = [
     ("valid_cap", 10.5),
     ("encoder_hidden", (8.0,)),
     ("decoder_hidden", (8, True)),
+    ("learning_rate", "0.1"),
+    ("learning_rate", None),
+    ("beta1", None),
+    ("cw_weight", None),
+    ("grad_clip_norm", None),
+    ("eps_log", True),
+    ("adam_epsilon", (1e-8,)),
+    ("latent_dim", None),
+    ("valid_cap", None),
+    ("encoder_hidden", 5),
+    ("decoder_hidden", None),
+    ("decoder_hidden", (8, None)),
 ]
 
 
@@ -457,6 +469,10 @@ class TestConfigValidation:
     def test_numpy_integers_are_integers(self):
         config = self.good(latent_dim=np.int64(2), epochs=np.int32(1), encoder_hidden=(np.int64(8),))
         validate_config(config)
+
+    def test_numpy_reals_are_reals(self):
+        validate_config(self.good(learning_rate=np.float64(0.01), beta1=np.float64(0.5),
+                                  cw_weight=np.float32(2.0), grad_clip_norm=np.int64(1)))
 
 
 class TestConfigText:
@@ -502,6 +518,16 @@ class TestConfigText:
         text = "latent_dim=two\nbatch_size=4\nepochs=1\n"
         with pytest.raises(ValueError, match="latent_dim"):
             config_from_text(text)
+
+    @pytest.mark.parametrize("text, extra_keys, message", [
+        ("latent_dim=2\nbatch_size=4\nepochs=1\nlatent_dim=8\n", (),
+         "line 4: config field 'latent_dim' repeats line 1"),
+        ("valid_fraction=0.2\nlatent_dim=2\nbatch_size=4\n# x\nepochs=1\n valid_fraction = 0.5\n",
+         ("valid_fraction",), "line 6: config field 'valid_fraction' repeats line 1"),
+    ])
+    def test_a_repeated_field_names_both_lines(self, text, extra_keys, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            config_from_text(text, extra_keys=extra_keys)
 
     def test_missing_required_fields_are_listed(self):
         with pytest.raises(ValueError, match="latent_dim"):
