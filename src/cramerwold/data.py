@@ -4,6 +4,7 @@ import gzip
 import math
 import re
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,14 +89,17 @@ def _read_idx(path, kind):
     magic, noun = _IDX[kind]
     with open(path, "rb") as fh:
         gzipped = fh.read(2) == b"\x1f\x8b"
-    with (gzip.open if gzipped else open)(path, "rb") as fh:
-        header = fh.read(4 + 4 * (magic & 0xFF))
-        if len(header) != 4 + 4 * (magic & 0xFF):
-            raise ValueError(f"{path}: truncated IDX header")
-        found, *dims = struct.unpack(f">{len(header) // 4}I", header)
-        if found != magic:
-            raise ValueError(f"{path}: bad IDX {kind} magic {found:#010x}")
-        raw = fh.read()
+    try:
+        with (gzip.open if gzipped else open)(path, "rb") as fh:
+            header = fh.read(4 + 4 * (magic & 0xFF))
+            if len(header) != 4 + 4 * (magic & 0xFF):
+                raise ValueError(f"{path}: truncated IDX header")
+            found, *dims = struct.unpack(f">{len(header) // 4}I", header)
+            if found != magic:
+                raise ValueError(f"{path}: bad IDX {kind} magic {found:#010x}")
+            raw = fh.read()
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:  # truncated, corrupt, bad CRC
+        raise ValueError(f"{path}: damaged gzip stream ({exc})") from None
     size = math.prod(dims)
     if len(raw) < size:
         raise ValueError(f"{path}: expected {size} {noun} bytes, found {len(raw)}")

@@ -457,3 +457,51 @@ class TestUsage:
         assert report["command"] == "dist" and report["target"] == "normal"
         assert float(report["squared_distance"]) == cw2_sample_normal(x, gamma=0.25).squared_distance
         assert run_cli(capsys, "frobnicate")[0] == 2
+
+
+def report_argv(command, rng, tmp_path, xp, yp):
+    """A tiny run of ``command``; train's still needs its --out directory."""
+    if command == "train":
+        data_path, config_path = TestTrain().write_inputs(rng, tmp_path, epochs=1)
+        return ["train", str(data_path), "--config", str(config_path)]
+    return {
+        "dist": ["dist", str(xp), "--y", str(yp)],
+        "oracle-validate": ["oracle-validate", str(xp), "--y", str(xp), "--directions", "50"],
+        "normality": ["normality", str(xp)],
+        "bench": ["bench", "--dim", "3", "--sizes", "16", "--repeats", "1", "--warmup", "0"],
+    }[command]
+
+
+class TestReportPath:
+    """Every subcommand's report takes one path: printed, mirrored to --out
+    (``<out>/report.txt`` for train), and with --json one object of the same keys."""
+
+    COMMANDS = ["dist", "oracle-validate", "normality", "bench", "train"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_mirrors_stdout_and_json_carries_the_same_keys(
+        self, capsys, rng, tmp_path, sample_csv, second_csv, command
+    ):
+        argv = report_argv(command, rng, tmp_path, sample_csv[0], second_csv[0])
+        if command == "train":
+            out, mirror = tmp_path / "run", tmp_path / "run" / "report.txt"
+        else:
+            out = mirror = tmp_path / "report.txt"
+        code, text, _ = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 0
+        assert mirror.read_text() == text
+        code, as_json, _ = run_cli(capsys, *argv, "--out", str(out), "--json")
+        assert code == 0
+        assert mirror.read_text() == as_json
+        assert list(json.loads(as_json)) == list(parse_report(text))
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_that_cannot_be_written_is_a_usage_error(
+        self, capsys, rng, tmp_path, sample_csv, second_csv, command
+    ):
+        # train makes its --out directory, so it fails under a regular file instead
+        argv = report_argv(command, rng, tmp_path, sample_csv[0], second_csv[0])
+        parent = sample_csv[0] if command == "train" else tmp_path / "missing"
+        code, _, err = run_cli(capsys, *argv, "--out", str(parent / "report.txt"))
+        assert code == 2
+        assert "error:" in err

@@ -142,6 +142,19 @@ class TestIdx:
             fh.write(blob)
         assert np.array_equal(load_idx_images(gz), load_idx_images(plain))
 
+    @pytest.mark.parametrize("damage", [
+        lambda gz: gz[:len(gz) // 2],                       # stream ends early: EOFError
+        lambda gz: gz[:10] + b"\xff" + gz[11:],             # reserved block type: zlib.error
+        lambda gz: gz[:-8] + bytes([gz[-8] ^ 0xFF]) + gz[-7:],  # CRC mismatch: BadGzipFile
+    ], ids=["truncated", "corrupt-deflate", "bad-crc"])
+    def test_damaged_gzip_is_a_value_error_naming_the_file(self, rng, tmp_path, damage):
+        pixels = rng.integers(0, 256, size=(8, 6, 6), dtype=np.uint8)
+        blob = write_idx_images(tmp_path / "imgs.idx", pixels)
+        gz = tmp_path / "imgs.idx.gz"
+        gz.write_bytes(damage(gzip.compress(blob, mtime=0)))  # 10-byte header, no file name
+        with pytest.raises(ValueError, match=f"^{re.escape(str(gz))}: damaged gzip stream"):
+            load_idx_images(gz)
+
     def test_labels_attach_to_images(self, rng, tmp_path):
         pixels = rng.integers(0, 256, size=(6, 2, 2), dtype=np.uint8)
         imgs = tmp_path / "imgs.idx"

@@ -10,7 +10,9 @@ row in eight is stretched by 0, so coincident points stay covered.
 
 The invariance properties draw samples on a dyadic grid (entries k/8 with
 |k| <= 64) of equal power-of-two sizes, and shifts in multiples of 1/8 up to
-1e7, so that every shift, centring and Gram product is exact.
+1e7, so that every shift, centring and Gram product is exact.  A general
+rotation, or a tile side other than 128, is not exact on any grid: those
+properties take the stretched boxes and hold to a rounding budget.
 """
 
 import math
@@ -21,22 +23,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cramerwold import cw2_sample_normal, cw2_sample_sample, mardia, phi
+from cramerwold import _vectorized, cw2_sample_normal, cw2_sample_sample, mardia, phi
 
 MODE_DIMS = {"exact": (2, 3, 5, 8, 20, 64), "asymptotic": (3, 5, 20, 64), "bessel2": (2,)}
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
+def stretched(seed, rows, dim):
+    rng = np.random.default_rng(seed)
+    stretch = rng.uniform(0.0, 50.0, (rows, 1))
+    stretch[rng.random((rows, 1)) < 0.125] = 0.0
+    return rng.uniform(-1.0, 1.0, (rows, dim)) * stretch
+
+
 def sample(rows, dim):
     # Seeded NumPy draws, as in dyadic below: hypothesis arrays would fill most
     # of a large box with one value.
-    def draw(seed):
-        rng = np.random.default_rng(seed)
-        stretch = rng.uniform(0.0, 50.0, (rows, 1))
-        stretch[rng.random((rows, 1)) < 0.125] = 0.0
-        return rng.uniform(-1.0, 1.0, (rows, dim)) * stretch
-
-    return st.integers(0, 2**32 - 1).map(draw)
+    return st.integers(0, 2**32 - 1).map(lambda seed: stretched(seed, rows, dim))
 
 
 # Small samples, and sizes at the edges of the 128 x 128 pair tiles
@@ -106,6 +109,49 @@ def test_single_points_follow_their_closed_forms(mode, data):
     assert abs(prior.pre_clamp - expected) <= 1e-13 * abs(expected)
 
 
+def rounding_budget(report):
+    # The distance is a signed sum of profile means, each in [0, 1] and weighted
+    # by at most 1/sqrt(pi gamma); a few hundred roundings of that unit, as for
+    # shifts and permutations below.
+    return 1e-13 / math.sqrt(math.pi * report.gamma)
+
+
+def haar_orthogonal(seed, dim):
+    # QR of a Gaussian matrix with each column's sign taken from R's diagonal
+    # is Haar-distributed on O(D) (Mezzadri, Notices AMS 2007).
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
+    return q * np.sign(np.diag(r))
+
+
+def both_distances(x, y, mode):
+    return cw2_sample_sample(x, y, mode=mode), cw2_sample_normal(x, mode=mode)
+
+
+@pytest.mark.parametrize("mode", MODE_DIMS)
+@SETTINGS
+@given(data=st.data())
+def test_a_rotation_moves_both_distances_by_rounding_only(mode, data):
+    x, y = data.draw(sample_pair(MODE_DIMS[mode]))
+    turn = haar_orthogonal(data.draw(st.integers(0, 2**32 - 1)), x.shape[1])
+    for before, after in zip(both_distances(x, y, mode), both_distances(x @ turn, y @ turn, mode)):
+        assert abs(after.pre_clamp - before.pre_clamp) <= rounding_budget(before)
+
+
+@pytest.mark.parametrize("mode", MODE_DIMS)
+@pytest.mark.parametrize("tile", [32, 100, 256])
+def test_the_tile_size_moves_both_distances_by_rounding_only(monkeypatch, mode, tile):
+    # 259 x 131 pairs cut the tiles of every side off-centre; the reference
+    # walks the shipped 128 x 128 tiles
+    for seed, dim in enumerate(MODE_DIMS[mode] * 2):
+        x, y = stretched(seed, 259, dim), stretched(seed + 100, 131, dim)
+        reference = both_distances(x, y, mode)
+        with monkeypatch.context() as patch:
+            patch.setattr(_vectorized, "_TILE", tile)
+            tiled = both_distances(x, y, mode)
+        for before, after in zip(reference, tiled):
+            assert abs(after.pre_clamp - before.pre_clamp) <= rounding_budget(before)
+
+
 def dyadic(rows, dim):
     # Seeded NumPy draws: hypothesis builds a large array element by element,
     # and fills most of it with one value.
@@ -135,7 +181,7 @@ def test_shift_and_signed_permutation_move_the_distance_by_rounding_only(mode, d
     turn = signed_permutation(data, dim)
     before = cw2_sample_sample(x, y, mode=mode)
     after = cw2_sample_sample(turn(x + shift), turn(y + shift), mode=mode)
-    assert abs(after.pre_clamp - before.pre_clamp) <= 1e-13 / math.sqrt(math.pi * before.gamma)
+    assert abs(after.pre_clamp - before.pre_clamp) <= rounding_budget(before)
 
 
 @pytest.mark.parametrize("mode", MODE_DIMS)
