@@ -22,7 +22,8 @@ kernels run NumPy's SIMD ``exp`` over contiguous (points, directions) strips
 in one pass on the calling thread.  The streamed evaluator alone threads: its
 direction chunks, shared by threads on every CPU the process may use, each
 draw, normalise, project and sum on their thread, and no value depends on its
-thread or its chunk.
+thread or its chunk.  A chunk holds its directions until they are projected,
+then only its projections and one strip buffer.
 """
 
 import functools
@@ -392,8 +393,8 @@ def mc_normal_values(px, gamma):
     cross_var = 1.0 + 2.0 * gamma
     cross_c = 1.0 / math.sqrt(2.0 * math.pi * cross_var)
     a = np.ascontiguousarray(px.T)
-    s_self = _mc_self_sums(a, q, np.empty_like(a))
-    across = a * a
+    s_self = _mc_self_sums(a, q, buf := np.empty_like(a))
+    across = np.multiply(a, a, out=buf)  # the prior term reuses the strip buffer
     across *= -1.0 / (2.0 * cross_var)
     np.exp(across, out=across)
     s_cross = across.sum(axis=0)
@@ -402,7 +403,8 @@ def mc_normal_values(px, gamma):
 
 
 def _unit_rows(v):
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    # per row as np.linalg.norm(v, axis=1) rounds, so a block of rows alone keeps its bits
+    v /= np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))
     return v
 
 
@@ -410,8 +412,11 @@ def mc_direction_values(samples, gamma, ndir, rng):
     """``mc_pair_values`` of two samples, or ``mc_normal_values`` of one, on ``ndir`` unit
     directions, the normalised rows of ``rng.standard_normal``: chunks draw in order under the
     lock (consecutive pieces of one stream), then normalise, project and sum on their threads.
-    Chunks and their row blocks are near-equal with over 1,200 rows x points, where OpenBLAS
-    rounds as one whole product does, and blocks under 2**18 multiply-adds run unthreaded."""
+    A chunk owns its directions (drawn into a list that it empties), normalises and projects
+    them a row block at a time into one (points, directions) array per sample, and frees them
+    before it sums; the kernels read those arrays' transposed views without a copy.  Chunks
+    and their row blocks are near-equal with over 1,200 rows x points, where OpenBLAS rounds
+    as one whole product does, and blocks under 2**18 multiply-adds run unthreaded."""
     (n_lo, n_hi), dim = sorted((len(samples[0]), len(samples[-1]))), samples[0].shape[1]
     least = 2 + 2400 // n_lo  # rows, so that half a block still has over 1,200 products
     parts = max(1, min(-(-ndir // max(1, _MC_STRIP_ELEMS // n_hi)), ndir // least))
@@ -419,13 +424,16 @@ def mc_direction_values(samples, gamma, ndir, rng):
     rows = max((1 << 18) // (n_hi * dim), least)  # bigger ones wake OpenBLAS threads, which spin
     body = mc_pair_values if len(samples) == 2 else mc_normal_values
     vals = np.empty(ndir)
-    def chunk(i, v):
-        blocks = np.array_split(_unit_rows(v), -(-len(v) // rows))
-        proj = [np.empty((len(v), len(s))) for s in samples]
-        for s, p in zip(samples, proj):
-            for b, out in zip(blocks, np.array_split(p, len(blocks))):
-                np.matmul(b, s.T, out=out)
-        vals[bounds[i]:bounds[i + 1]] = body(*proj, gamma)
+    def chunk(i, drawn):
+        v = drawn.pop()  # the chunk's only reference, so the directions go once projected
+        cols, lo = [np.empty((len(s), len(v))) for s in samples], 0
+        for b in np.array_split(v, -(-len(v) // rows)):
+            _unit_rows(b)
+            for s, a in zip(samples, cols):
+                a[:, lo:lo + len(b)] = (b @ s.T).T
+            lo += len(b)
+        del v, b
+        vals[bounds[i]:bounds[i + 1]] = body(*(a.T for a in cols), gamma)
 
-    _each_chunk(chunk, parts, lambda i: rng.standard_normal((bounds[i + 1] - bounds[i], dim)))
+    _each_chunk(chunk, parts, lambda i: [rng.standard_normal((bounds[i + 1] - bounds[i], dim))])
     return vals

@@ -109,12 +109,12 @@ def _cmd_train(args):
         valid_fraction = float(valid_fraction)
     except ValueError:
         raise ValueError(f"field 'valid_fraction': could not parse {valid_fraction!r}") from None
+    os.makedirs(args.out, exist_ok=True)  # before a run that an unwritable --out would waste
     dataset = data.load_csv(args.data)
     train_set, valid_set = data.train_valid_split(
         dataset, valid_fraction=valid_fraction, seed=config.seed
     )
     params, records = training.train(config, train_set.points, valid_set.points)
-    os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "checkpoint.cwae")
     curves_path = os.path.join(args.out, "curves.csv")
     training.save_checkpoint(ckpt_path, params, config)

@@ -9,7 +9,9 @@ value depends on the thread count, so runs are reproducible on any platform.
 The two sample estimators draw, normalise and project their directions one
 chunk at a time on the threads that sum the chunk, taking consecutive pieces
 of the stream, so their memory is bounded by the chunk size, not by the
-direction count, and each value equals the one a whole draw gives.
+direction count, and each value equals the one a whole draw gives.  A thread
+holds one chunk's directions until they are projected, then its projections
+and one strip buffer: about 1.5 MB at n = 64 with 1,000 directions a chunk.
 """
 
 import math

@@ -286,6 +286,20 @@ class TestTrain:
         assert code == 0
         assert int(parse_report(out)["seed"]) == 9
 
+    def test_out_is_made_before_training(self, rng, tmp_path, capsys, monkeypatch):
+        # an --out under a regular file cannot be made: that ends the run before it trains
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before making --out")
+
+        monkeypatch.setattr(cli.training, "train", no_training)
+        data_path, config_path = self.write_inputs(rng, tmp_path, epochs=1)
+        code, _, err = run_cli(
+            capsys, "train", str(data_path), "--config", str(config_path),
+            "--out", str(data_path / "run"),
+        )
+        assert code == 2
+        assert "error:" in err
+
     def test_bad_config_value_is_a_usage_error(self, rng, tmp_path, capsys):
         data_path, _ = self.write_inputs(rng, tmp_path)
         config_path = tmp_path / "bad.cfg"

@@ -8,6 +8,7 @@ the identical value).
 """
 
 import math
+import os
 import re
 import tracemalloc
 
@@ -216,6 +217,28 @@ class TestStreamedDirections:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_a_chunk_holds_its_directions_and_projections_once(self):
+        # each thread holds one chunk's directions while they are projected, then
+        # at most three (points x directions) arrays: both projections and a strip
+        # buffer; 1 MiB covers the samples, the values and the per-block temporaries
+        n = dim = 64
+        ndir = 4000
+        chunks = -(-ndir // (_vectorized._MC_STRIP_ELEMS // n))
+        width = -(-ndir // chunks)  # 1000 directions in each of four chunks
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        bound = min(cpus or 1, chunks) * 8 * width * (dim + 3 * n) + 2**20  # 4.9 MiB on 2 CPUs
+        r = np.random.default_rng(1908)
+        x = r.standard_normal((n, dim))
+        y = r.standard_normal((n, dim)) + 0.1
+        tracemalloc.start()
+        try:
+            cw2_monte_carlo(x, y, ndir, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured 3.2 MiB on 2 CPUs; a second copy of each projection took 6.1 MiB
+        assert peak < bound
 
 
 def radial_call(num, seed):
